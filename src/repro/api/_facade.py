@@ -195,7 +195,10 @@ class Toolchain:
                 max_instructions=self.options.max_instructions,
                 superinst=self.superinst_plan())
         vm.stdin = stdin
-        return vm.run(entry)
+        try:
+            return vm.run(entry)
+        finally:
+            vm.release()
 
     def run(self, source: str, stdin: str = "",
             config: str | None = None, entry: str = "main") -> RunResult:

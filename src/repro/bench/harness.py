@@ -127,7 +127,10 @@ class Harness:
             sink_stats = sink_program(compiled.asm) if self.sink else None
             vm = VM(compiled.asm, self.model, superinst=self.pgo)
             vm.stdin = spec.stdin
-            run = vm.run()
+            try:
+                run = vm.run()
+            finally:
+                vm.release()
         telemetry = (summarize(tracer.events[ev_start:])
                      if tracer.enabled else None)
         cell = CellResult(

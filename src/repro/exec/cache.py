@@ -139,6 +139,19 @@ def config_fingerprint(config) -> dict[str, Any] | None:
     }
 
 
+def front_key(source: str, config) -> str | None:
+    """The in-memory address of a compilation's model-independent front
+    half (see ``machine.driver.front_memo``): the source, every key
+    field of the config but ``model``, and the salt_context() tags.
+    None when the configuration is not cacheable."""
+    fp = config_fingerprint(config)
+    if fp is None:
+        return None
+    del fp["model"]
+    return _canonical_key({"extra": list(_extra_salt), "source": source,
+                           "config": fp})
+
+
 class _DiskCache:
     """Shared content-addressed store; subclasses define key schemas."""
 

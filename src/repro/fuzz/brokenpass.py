@@ -34,16 +34,16 @@ def _broken_run(fn: IRFunc) -> bool:
     """
     from ..machine.regalloc import build_intervals
     intervals, _ = build_intervals(fn)
+    global_uses: dict[Vreg, int] = {}
+    for inst in fn.insts:
+        for a in inst.args:
+            global_uses[a] = global_uses.get(a, 0) + 1
     for block in basic_blocks(fn):
         def_at: dict[Vreg, int] = {}
         for idx in block:
             inst = fn.insts[idx]
             if inst.dst is not None:
                 def_at[inst.dst] = idx
-        global_uses: dict[Vreg, int] = {}
-        for inst in fn.insts:
-            for a in inst.args:
-                global_uses[a] = global_uses.get(a, 0) + 1
 
         for idx in block:
             inst = fn.insts[idx]

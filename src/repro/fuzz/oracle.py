@@ -35,7 +35,7 @@ from ..cfront.errors import CFrontError
 from ..exec.engine import run_sharded
 from ..gc.collector import Collector, GCCheckError, GCStats
 from ..gc.memory import MemoryFault
-from ..machine.driver import CompileConfig, CONFIGS, compile_source
+from ..machine.driver import CompileConfig, CONFIGS, compile_source, front_memo
 from ..machine.models import MODELS
 from ..machine.vm import VM, VMError
 
@@ -144,6 +144,8 @@ def compile_and_run(source: str, config_name: str, model_name: str = "ss10",
         return Outcome("check", detail=str(exc), gc_stats=gc.stats.to_dict())
     except (VMError, MemoryFault) as exc:
         return Outcome("fault", detail=str(exc), gc_stats=gc.stats.to_dict())
+    finally:
+        vm.release()
     return Outcome("ok", result.exit_code, result.output,
                    collections=result.collections,
                    gc_stats=gc.stats.to_dict())
@@ -213,30 +215,35 @@ def check_program(source: str, models: tuple[str, ...] = DEFAULT_MODELS,
     drives the adversarial re-run of the GC-safe configs.  ``workers``
     shards the (config, model, gc-mode) cells across processes via the
     execution engine; the report is identical for any worker count.
+
+    The cells share front halves for the duration of the call
+    (:func:`repro.machine.driver.front_memo`), so each config is parsed
+    and optimized once, not once per cell.
     """
-    report = OracleReport()
-    primary = models[0]
-    ref = compile_and_run(source, REFERENCE_CONFIG, primary,
-                          max_instructions=max_instructions)
-    report.reference = ref
-    report.runs += 1
-    report.gc_totals.merge(ref.gc_stats)
-    if ref.status != "ok":
-        report.mismatches.append(Mismatch(
-            "reference", REFERENCE_CONFIG, primary,
-            "a runnable program", ref.describe()))
-        return report
-    cells = matrix_cells(source, models, adv_interval, adv_models,
-                         max_instructions)
-    outcomes = run_cells([payload for _, payload in cells], workers=workers)
-    for (kind, payload), out in zip(cells, outcomes):
-        _, config, model = payload[:3]
+    with front_memo():
+        report = OracleReport()
+        primary = models[0]
+        ref = compile_and_run(source, REFERENCE_CONFIG, primary,
+                              max_instructions=max_instructions)
+        report.reference = ref
         report.runs += 1
-        report.gc_totals.merge(out.gc_stats)
-        if out.key() != ref.key():
+        report.gc_totals.merge(ref.gc_stats)
+        if ref.status != "ok":
             report.mismatches.append(Mismatch(
-                kind, config, model, ref.describe(), out.describe()))
-    return report
+                "reference", REFERENCE_CONFIG, primary,
+                "a runnable program", ref.describe()))
+            return report
+        cells = matrix_cells(source, models, adv_interval, adv_models,
+                             max_instructions)
+        outcomes = run_cells([payload for _, payload in cells], workers=workers)
+        for (kind, payload), out in zip(cells, outcomes):
+            _, config, model = payload[:3]
+            report.runs += 1
+            report.gc_totals.merge(out.gc_stats)
+            if out.key() != ref.key():
+                report.mismatches.append(Mismatch(
+                    kind, config, model, ref.describe(), out.describe()))
+        return report
 
 
 def mismatch_predicate(signature: tuple[str, str, str] | None = None,

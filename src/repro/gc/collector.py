@@ -46,8 +46,11 @@ class GCStats:
     same_obj_checks: int = 0
     incr_checks: int = 0
     base_checks: int = 0
-    # Wall-clock pause accounting (populated only while tracing is
-    # enabled; observational — never feeds back into simulated cycles).
+    # Wall-clock pause accounting (observational — never feeds back
+    # into simulated cycles).  Every collection fills ``gc_pause_ns``
+    # and ``max_pause_ns``; the phase split (``root_scan_ns``,
+    # ``mark_ns``, ``sweep_ns``) needs the phase clock and is filled
+    # only on the instrumented path (tracing or a metrics registry).
     gc_pause_ns: int = 0
     root_scan_ns: int = 0
     mark_ns: int = 0
@@ -316,9 +319,14 @@ class Collector:
         # two-level page-table lookup is inlined (one bounds-free double
         # indexation per candidate) and ranges are read as bulk
         # little-endian word vectors straight off the page buffers
-        # instead of one load_word call per word.
+        # instead of one load_word call per word.  Like the Boehm
+        # collector's plausible-heap-bounds test, one range compare
+        # drops every word outside the heap's allocated span before the
+        # lookup: no page outside it is in the table, so the marked set
+        # is unchanged, and most candidate words are not heap addresses.
         worklist: list[tuple[int, int]] = []  # (object base, object size)
         marked = 0
+        lo, hi = self.heap.base, self.heap._cursor
         top = self.heap.table._top
         mem_pages = self.memory._pages
         roots_only = self.interior_from_roots_only
@@ -369,7 +377,8 @@ class Collector:
                 if count:
                     off = addr & PAGE_MASK
                     for value in struct.unpack_from(f"<{count}I", page, off):
-                        consider(value, from_roots)
+                        if lo <= value < hi:
+                            consider(value, from_roots)
                 addr += count * WORD_SIZE
                 if addr + WORD_SIZE > chunk_end:
                     addr = page_end
@@ -380,7 +389,8 @@ class Collector:
             scan_words(root.start, root.end, True)
         for provider in self.dynamic_root_providers:
             for value in provider():
-                consider(value, True)
+                if lo <= value < hi:
+                    consider(value, True)
         if clock is not None:
             phases["root_scan_ns"] = clock() - t0
 
@@ -395,6 +405,12 @@ class Collector:
             yield from provider()
 
     def _sweep(self) -> int:
+        if self.stats.marked_last_gc == self.heap.objects_in_use:
+            # Every live object is marked: nothing to reclaim, so only
+            # the marks need clearing, not a walk over every slot.
+            for desc in self.heap.all_pages:
+                desc.mark = [False] * desc.n_objects
+            return 0
         reclaimed = 0
         free_object = self.heap.free_object
         for desc in self.heap.all_pages:

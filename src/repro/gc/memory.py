@@ -44,6 +44,8 @@ class Memory:
 
     def __init__(self):
         self._pages: dict[int, bytearray] = {}
+        # Reserved page-index spans [lo, hi): see reserve().
+        self._reserved: list[tuple[int, int]] = []
 
     # -- mapping ----------------------------------------------------------
 
@@ -60,6 +62,25 @@ class Memory:
         for idx in range(start >> PAGE_SHIFT, (start + size - 1 >> PAGE_SHIFT) + 1):
             if idx not in self._pages:
                 self._pages[idx] = bytearray(PAGE_SIZE)
+
+    def reserve(self, start: int, size: int) -> None:
+        """Make [start, start + size) accessible without mapping it: a
+        page is created, zeroed, on its first load or store.  Pages not
+        yet touched stay unmapped, and conservative scans skip them,
+        which is sound because they hold only zeros."""
+        self._reserved.append((start >> PAGE_SHIFT,
+                               (start + size - 1 >> PAGE_SHIFT) + 1))
+
+    def _touch(self, idx: int) -> bytearray | None:
+        """The page at index ``idx``, created if it is reserved; None
+        when it is neither mapped nor reserved."""
+        page = self._pages.get(idx)
+        if page is None:
+            for lo, hi in self._reserved:
+                if lo <= idx < hi:
+                    page = self._pages[idx] = bytearray(PAGE_SIZE)
+                    break
+        return page
 
     def unmap_page(self, addr: int) -> None:
         self._pages.pop(addr >> PAGE_SHIFT, None)
@@ -80,7 +101,7 @@ class Memory:
         if off + width <= PAGE_SIZE:
             if addr < 0 or addr + width > ADDRESS_LIMIT:
                 raise MemoryFault(addr, "address out of range")
-            page = self._pages.get(addr >> PAGE_SHIFT)
+            page = self._touch(addr >> PAGE_SHIFT)
             if page is None:
                 raise MemoryFault(addr)
             raw = page[off : off + width]
@@ -97,7 +118,7 @@ class Memory:
             return
         if addr < 0 or addr + width > ADDRESS_LIMIT:
             raise MemoryFault(addr, "address out of range")
-        page = self._pages.get(addr >> PAGE_SHIFT)
+        page = self._touch(addr >> PAGE_SHIFT)
         if page is None:
             raise MemoryFault(addr)
         page[off : off + width] = (value % (1 << (8 * width))).to_bytes(width, "little")
@@ -113,7 +134,7 @@ class Memory:
     def _page_at(self, addr: int) -> bytearray:
         if addr < 0 or addr >= ADDRESS_LIMIT:
             raise MemoryFault(addr, "address out of range")
-        page = self._pages.get(addr >> PAGE_SHIFT)
+        page = self._touch(addr >> PAGE_SHIFT)
         if page is None:
             raise MemoryFault(addr)
         return page

@@ -56,6 +56,9 @@ class FuncCodegen:
             align = max(slot.align, 1)
             offset = (offset + slot.size + align - 1) // align * align
             self.slot_offset[slot.name] = -offset
+        for name in self.alloc.spill_slots:  # 4-byte, 4-aligned words
+            offset = (offset + 7) // 4 * 4
+            self.slot_offset[name] = -offset
         self.frame_size = (offset + 7) // 8 * 8
 
     # -- register access ---------------------------------------------------
@@ -311,14 +314,12 @@ class FuncCodegen:
         self._finish_dst(spill, reg)
 
 
-def generate_program(ir: IRProgram, model: MachineModel,
-                     optimize_fn=None) -> MProgram:
+def generate_program(ir: IRProgram, model: MachineModel) -> MProgram:
     """Allocate registers and emit machine code for a whole program.
-    ``optimize_fn(fn)`` runs per function first when given."""
+    Reads ``ir`` without changing it, so one (optimized) IR program can
+    be generated for several machine models."""
     prog = MProgram(globals=dict(ir.globals))
     for fn in ir.functions.values():
-        if optimize_fn is not None:
-            optimize_fn(fn)
         alloc = allocate(fn, model)
         prog.functions[fn.name] = FuncCodegen(fn, model, alloc).generate()
     return prog

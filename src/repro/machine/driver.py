@@ -21,10 +21,19 @@ implicates an optimizer pass.
 
 Use :func:`compile_source` + :class:`repro.machine.vm.VM` to run, or the
 convenience :func:`run_source`.
+
+A compilation has two halves.  The *front half* (cpp, parse, typecheck,
+annotate, lower, optimize) does not depend on the machine model; the
+*back half* (register allocation and code generation) does, and reads
+the optimized IR without changing it.  Inside :func:`front_memo`,
+``compile_source`` computes each front half once and runs only the back
+half for the other calls with the same source and model-free config.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from ..cfront.cpp import preprocess
@@ -136,7 +145,48 @@ def compile_cache_key(source: str, config: CompileConfig) -> str | None:
     return cache.key_for(source, config) if cache is not None else None
 
 
+# The front halves shared inside front_memo(), keyed by
+# exec_cache.front_key(); None outside any front_memo() block.
+_front_halves: ContextVar[dict | None] = ContextVar("front_halves",
+                                                   default=None)
+
+
+@contextmanager
+def front_memo():
+    """Compute each front half once for the ``compile_source`` calls
+    made inside the block; the memo is dropped when the block exits.
+
+    Every call still runs its own back half, so each caller gets a
+    fresh :class:`MProgram` it may rewrite in place.  The key covers the
+    source, every config field but ``model``, and the active
+    :func:`repro.exec.cache.salt_context` tags, so a pass swapped in
+    under a salt is never served code compiled without it.
+    """
+    token = _front_halves.set({})
+    try:
+        yield
+    finally:
+        _front_halves.reset(token)
+
+
 def _compile(source: str, config: CompileConfig) -> CompiledProgram:
+    memo = _front_halves.get()
+    key = exec_cache.front_key(source, config) if memo is not None else None
+    front = memo.get(key) if key is not None else None
+    if front is None:
+        front = _front_half(source, config)
+        if key is not None:
+            memo[key] = front
+    ir, keep_lives = front
+    with obs_runtime.get_tracer().span("compile.codegen",
+                                       model=config.model.name) as sp:
+        asm = generate_program(ir, config.model)
+        sp.set(code_size=asm.code_size())
+    return CompiledProgram(asm, ir, config, keep_lives)
+
+
+def _front_half(source: str, config: CompileConfig) -> tuple[IRProgram, int]:
+    """cpp through optimize: the optimized IR and the KEEP_LIVE count."""
     tracer = obs_runtime.get_tracer()
     if config.run_cpp:
         source = preprocess(source, config.include_dirs)
@@ -159,11 +209,11 @@ def _compile(source: str, config: CompileConfig) -> CompiledProgram:
                         naive_keep_live=config.naive_keep_live)
         sp.set(functions=len(ir.functions),
                ir_insts=sum(len(fn.insts) for fn in ir.functions.values()))
-    opt = (lambda fn: optimize(fn, config.passes)) if config.optimize else None
-    with tracer.span("compile.codegen", model=config.model.name) as sp:
-        asm = generate_program(ir, config.model, opt)
-        sp.set(code_size=asm.code_size())
-    return CompiledProgram(asm, ir, config, keep_lives)
+    if config.optimize:
+        with tracer.span("compile.opt", passes=list(config.passes)):
+            for fn in ir.functions.values():
+                optimize(fn, config.passes)
+    return ir, keep_lives
 
 
 def run_source(source: str, config: CompileConfig | None = None,
@@ -176,4 +226,7 @@ def run_source(source: str, config: CompileConfig | None = None,
             collector=collector, gc_interval=gc_interval,
             max_instructions=max_instructions)
     vm.stdin = stdin
-    return vm.run(entry)
+    try:
+        return vm.run(entry)
+    finally:
+        vm.release()

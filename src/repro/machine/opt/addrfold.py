@@ -28,32 +28,33 @@ it keeps the base register alive instead, which is what restores safety.
 
 from __future__ import annotations
 
+from functools import cache
+from typing import Callable
+
 from ..ir import Inst, IRFunc, Vreg, basic_blocks
 
 
 def run(fn: IRFunc) -> bool:
-    changed = False
+    # Global use counts matter for "single use" safety.  The first
+    # rewrite returns, so one count serves the whole call.
+    global_uses: dict[Vreg, int] = {}
+    for inst in fn.insts:
+        for a in inst.args:
+            global_uses[a] = global_uses.get(a, 0) + 1
     # Live-range ends let us overwrite a dead pointer in place — the
-    # paper's literal "p = p - 1000".  (Import here to avoid a cycle.)
+    # paper's literal "p = p - 1000".  Built on first use only: most
+    # calls find no candidate.  (Import here to avoid a cycle.)
     from ..regalloc import build_intervals
-    intervals, _ = build_intervals(fn)
+    intervals = cache(lambda: build_intervals(fn)[0])
     for block in basic_blocks(fn):
-        # Per-block maps: vreg -> defining inst index (latest), use counts.
+        # Per-block maps: vreg -> defining inst index (latest), def counts.
         def_at: dict[Vreg, int] = {}
         def_count: dict[Vreg, int] = {}
-        use_count: dict[Vreg, int] = {}
         for idx in block:
-            inst = fn.insts[idx]
-            for a in inst.args:
-                use_count[a] = use_count.get(a, 0) + 1
-            if inst.dst is not None:
-                def_at[inst.dst] = idx
-                def_count[inst.dst] = def_count.get(inst.dst, 0) + 1
-        # Global use counts matter for "single use" safety.
-        global_uses: dict[Vreg, int] = {}
-        for inst in fn.insts:
-            for a in inst.args:
-                global_uses[a] = global_uses.get(a, 0) + 1
+            dst = fn.insts[idx].dst
+            if dst is not None:
+                def_at[dst] = idx
+                def_count[dst] = def_count.get(dst, 0) + 1
 
         for idx in block:
             inst = fn.insts[idx]
@@ -62,22 +63,20 @@ def run(fn: IRFunc) -> bool:
             if inst.text == "reassoc":  # already rewritten; the transform
                 continue                 # is its own inverse otherwise
             p, t1 = inst.args
-            rewritten = _try_reassoc(fn, idx, inst, p, t1, def_at, def_count,
-                                     global_uses, intervals)
-            if not rewritten:
-                rewritten = _try_reassoc(fn, idx, inst, t1, p, def_at,
-                                         def_count, global_uses, intervals)
-            changed |= rewritten
-            if rewritten:
+            if (_try_reassoc(fn, idx, inst, p, t1, def_at, def_count,
+                             global_uses, intervals)
+                    or _try_reassoc(fn, idx, inst, t1, p, def_at, def_count,
+                                    global_uses, intervals)):
                 # The in-place variant invalidates the analysis maps;
                 # restart (the pipeline iterates to a fixpoint anyway).
                 return True
-    return changed
+    return False
 
 
 def _try_reassoc(fn: IRFunc, idx: int, inst: Inst, p: Vreg, t1: Vreg,
                  def_at: dict[Vreg, int], def_count: dict[Vreg, int],
-                 global_uses: dict[Vreg, int], intervals=None) -> bool:
+                 global_uses: dict[Vreg, int],
+                 intervals: Callable[[], dict]) -> bool:
     """Rewrite add(p, t1) where t1 = sub(i, c)/add(i, c) into
     add(sub/add(p, c), i), in place (two instructions)."""
     t1_def_idx = def_at.get(t1)
@@ -106,7 +105,6 @@ def _try_reassoc(fn: IRFunc, idx: int, inst: Inst, p: Vreg, t1: Vreg,
             return False
     # Rewrite:  t1 = sub(i, c)  ->  t1 = sub(p, c)   (pointer adjusted)
     #           t2 = add(p, t1) ->  t2 = add(t1, i)
-    p_iv = intervals.get(p) if intervals is not None else None
     # The in-place variant overwrites p at t1's definition point, so it
     # is only sound when the index operand is a different register (for
     # p[p - c] both operands of the final add would read the adjusted
@@ -117,7 +115,8 @@ def _try_reassoc(fn: IRFunc, idx: int, inst: Inst, p: Vreg, t1: Vreg,
         and inst.dst != p
         and not any(p in fn.insts[k].args
                     for k in range(t1_def_idx + 1, idx)))
-    if p_iv is not None and p_iv.end <= 2 * idx and in_place_ok:
+    p_iv = intervals().get(p) if in_place_ok else None
+    if p_iv is not None and p_iv.end <= 2 * idx:
         # p is dead after this address computation: overwrite it in
         # place, the paper's literal "p = p - 1000; ... p[i]".  Between
         # the adjustment and the use, no register holds a pointer into

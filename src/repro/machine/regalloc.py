@@ -40,7 +40,14 @@ class Allocation:
     caller_regs: list[str]
     callee_regs: list[str]
     used_callee: list[str] = field(default_factory=list)
-    spill_count: int = 0
+    # Spill slot names in allocation order (4 bytes each).  They live
+    # here, not in the IR function's frame, so one optimized IR function
+    # can be allocated for several machine models.
+    spill_slots: list[str] = field(default_factory=list)
+
+    @property
+    def spill_count(self) -> int:
+        return len(self.spill_slots)
 
     def loc(self, vreg: Vreg) -> Interval:
         return self.intervals[vreg]
@@ -157,7 +164,6 @@ def allocate(fn: IRFunc, model: MachineModel) -> Allocation:
     active: list[Interval] = []
     free_caller = list(caller_regs)
     free_callee = list(callee_regs)
-    spill_n = 0
 
     def expire(pos: int) -> None:
         nonlocal active
@@ -202,19 +208,15 @@ def allocate(fn: IRFunc, model: MachineModel) -> Allocation:
             if victim is not None and victim.end > iv.end:
                 reg = victim.reg
                 victim.reg = None
-                spill_n += 1
                 victim.spill_slot = f"spill.{victim.vreg.id}"
-                fn.add_slot(victim.spill_slot, 4)
+                alloc.spill_slots.append(victim.spill_slot)
             else:
-                spill_n += 1
                 iv.spill_slot = f"spill.{iv.vreg.id}"
-                fn.add_slot(iv.spill_slot, 4)
+                alloc.spill_slots.append(iv.spill_slot)
                 active.append(iv)
                 continue
         iv.reg = reg
         if reg in callee_regs and reg not in alloc.used_callee:
             alloc.used_callee.append(reg)
         active.append(iv)
-
-    alloc.spill_count = spill_n
     return alloc

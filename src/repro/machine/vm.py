@@ -219,9 +219,9 @@ class VM:
             self.code[name] = mf.insts
             self.labels[name] = {inst.symbol: i for i, inst in enumerate(mf.insts)
                                  if inst.op == "label"}
-        # Stack.
+        # Stack: reserved, so only the pages a run touches get mapped.
         self.stack_base = STACK_TOP - stack_size
-        self.memory.map_range(self.stack_base, stack_size)
+        self.memory.reserve(self.stack_base, stack_size)
 
     # -- roots -------------------------------------------------------------
 
@@ -724,6 +724,28 @@ class VM:
         if self._profile is not None:
             self._profile.runs += 1
         return result
+
+    def release(self) -> None:
+        """Drop the compiled code of a VM that is done running.
+
+        The compiled closures and the collector's root providers refer
+        back to the VM, so a finished VM is otherwise freed only by
+        Python's cyclic collector: dead VMs (thousands of closures each)
+        pile up between its full collections and lengthen every one of
+        them.  Releasing breaks those cycles, so the VM is freed as soon
+        as its last user drops it.  Results, memory and collector stay
+        readable; the VM cannot run again.
+        """
+        for ops in self._ops.values():
+            ops.clear()  # a call closure may hold another function's ops
+        self._ops = {}
+        collector = self.gc
+        collector.dynamic_root_providers = [
+            p for p in collector.dynamic_root_providers
+            if getattr(p, "__self__", None) is not self]
+        collector.range_providers = [
+            p for p in collector.range_providers
+            if getattr(p, "__self__", None) is not self]
 
     def _call(self, name: str) -> None:
         """Execute function ``name`` until it returns (recursive VM calls

@@ -28,7 +28,7 @@ SUMMARY_SCHEMA = envelopes.OBS_SUMMARY
 # Pipeline phases in execution order (span names).
 COMPILE_PHASES = (
     "cfront.cpp", "cfront.lex", "cfront.parse", "cfront.typecheck",
-    "compile.annotate", "compile.lower", "compile.codegen",
+    "compile.annotate", "compile.lower", "compile.opt", "compile.codegen",
 )
 
 # Histogram metrics surfaced in the percentile section, in render order.

@@ -72,6 +72,36 @@ class TestFaults:
         assert not mem.is_mapped(0x1000)
 
 
+class TestReservedRange:
+    @pytest.fixture
+    def reserved(self):
+        m = Memory()
+        m.reserve(0x10000, 4 * PAGE_SIZE)
+        return m
+
+    def test_untouched_word_reads_zero(self, reserved):
+        assert reserved.load_word(0x12000) == 0
+
+    def test_store_maps_only_the_touched_page(self, reserved):
+        assert reserved.mapped_pages == 0
+        reserved.store_word(0x13FFC, 7)
+        assert reserved.load_word(0x13FFC) == 7
+        assert reserved.mapped_pages == 1
+        assert reserved.is_mapped(0x13000) and not reserved.is_mapped(0x10000)
+
+    def test_bulk_helpers_touch_pages(self, reserved):
+        reserved.write_bytes(0x10FFE, b"abcd")  # straddles two pages
+        assert reserved.read_bytes(0x10FFE, 4) == b"abcd"
+        assert reserved.mapped_pages == 2
+
+    def test_outside_the_range_still_faults(self, reserved):
+        with pytest.raises(MemoryFault, match="unmapped address: 0x0000fffc"):
+            reserved.load_word(0xFFFC)
+        with pytest.raises(MemoryFault):
+            reserved.store_word(0x10000 + 4 * PAGE_SIZE, 1)
+        assert reserved.mapped_pages == 0
+
+
 class TestBulkHelpers:
     def test_write_read_bytes(self, mem):
         mem.write_bytes(0x1000, b"hello")

@@ -66,8 +66,15 @@ class TestAllocation:
         decls = "; ".join(f"int v{i} = a + {i}" for i in range(12))
         uses = " + ".join(f"v{i}" for i in range(12))
         fn = lowered(f"int f(int a) {{ {decls}; return {uses}; }}", "f")
+        slots = dict(fn.slots)
         p90_alloc = allocate(fn, PENTIUM_90)
         assert p90_alloc.spill_count > 0
+        # Spill slots live on the Allocation, so the IR frame stays fit
+        # for allocating the same function for another model.
+        assert fn.slots == slots
+        assert all(p90_alloc.intervals[v].spill_slot in
+                   p90_alloc.spill_slots for v in p90_alloc.intervals
+                   if p90_alloc.intervals[v].reg is None)
 
     def test_same_function_fits_on_sparc(self):
         decls = "; ".join(f"int v{i} = a + {i}" for i in range(12))

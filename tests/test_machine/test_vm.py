@@ -1,5 +1,8 @@
 """VM tests: execution mechanics, builtins, GC integration, limits."""
 
+import gc as pygc  # the tests below name their Collectors ``gc``
+import weakref
+
 import pytest
 
 from repro.gc import Collector, GCCheckError
@@ -138,6 +141,87 @@ class TestGCIntegration:
         compiled = build(src, CompileConfig.named("g_checked"))
         with pytest.raises(GCCheckError):
             VM(compiled.asm).run()
+
+
+class TestLazyStack:
+    """The 1 MiB stack is reserved, not mapped: a run maps only the
+    pages it touches, and nothing below the stack becomes accessible."""
+
+    RECURSE = """
+    int down(int n) { int pad[8]; pad[0] = n;
+                      if (n == 0) return 0; return down(n - 1) + pad[0]; }
+    int main(void) { return down(100000); }
+    """
+
+    def _stack_pages(self, vm):
+        return [i for i in vm.memory._pages if i >= vm.stack_base >> 12]
+
+    def test_untouched_stack_word_reads_zero(self):
+        vm = VM(build("int main(void) { return 0; }").asm)
+        assert vm.memory.load_word(vm.stack_base + 0x8000) == 0
+        assert vm._load(vm.stack_base, 4, False) == 0
+
+    @pytest.mark.parametrize("config,addr", [("g", 0x07FFBFF8),
+                                             ("O", 0x07FFBFFC)])
+    def test_overflow_below_stack_base_faults(self, config, addr):
+        vm = VM(build(self.RECURSE, CompileConfig.named(config)).asm,
+                stack_size=16 * 1024)
+        with pytest.raises(VMError, match=f"^store fault at 0x{addr:08x}$"):
+            vm.run()
+        with pytest.raises(VMError, match="^load fault at 0x07ffbffc$"):
+            vm._load(vm.stack_base - 4, 4, False)
+
+    def test_one_frame_maps_few_stack_pages(self):
+        src = ("int f(int x) { int a[4]; a[1] = x; return a[1]; } "
+               "int main(void) { return f(3); }")
+        vm = VM(build(src, CompileConfig.named("g")).asm)
+        assert vm.run().exit_code == 3
+        assert 1 <= len(self._stack_pages(vm)) <= 2
+
+
+class TestRelease:
+    """A released VM is freed by reference counting, not by Python's
+    cyclic collector, and keeps its results readable."""
+
+    SRC = """
+    int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+    int main(void) { int *p = (int *)GC_malloc(8); p[0] = fib(12);
+                     GC_collect(); return p[0]; }
+    """
+
+    def test_released_vm_is_freed_without_the_cyclic_collector(self):
+        compiled = build(self.SRC)
+        collector = Collector()
+        was_enabled = pygc.isenabled()
+        pygc.disable()
+        try:
+            vm = VM(compiled.asm, collector=collector)
+            result = vm.run()
+            vm.release()
+            ref = weakref.ref(vm)
+            del vm
+            assert ref() is None
+        finally:
+            if was_enabled:
+                pygc.enable()
+        assert result.exit_code == 144
+        assert collector.stats.collections == result.collections >= 1
+        assert collector.dynamic_root_providers == []
+        assert collector.range_providers == []
+
+    def test_release_is_idempotent_and_keeps_state(self):
+        def other():  # a root provider the VM does not own
+            return ()
+
+        collector = Collector()
+        collector.add_root_provider(other)
+        vm = VM(build(self.SRC).asm, collector=collector)
+        result = vm.run()
+        vm.release()
+        vm.release()
+        assert collector.dynamic_root_providers == [other]
+        assert vm.instructions == result.instructions
+        assert vm.memory is collector.memory
 
 
 class TestBuiltinCoverage:
