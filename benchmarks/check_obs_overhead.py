@@ -56,10 +56,12 @@ print(json.dumps({"wall_s": wall, "cycles": result.cycles,
 """
 
 
-def run_once(src_dir: str, workload: str, config: str) -> dict:
+def run_child(src_dir: str, child: str, argv: list[str]) -> dict:
+    """Run ``child`` against the tree at ``src_dir``; its last stdout
+    line is a JSON object with ``wall_s`` and ``cycles``."""
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, workload, config],
+        [sys.executable, "-c", child, *argv],
         capture_output=True, text=True, env=env, cwd=REPO, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -68,6 +70,68 @@ def resolve_baseline(ref: str) -> str | None:
     probe = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"],
                            capture_output=True, text=True, cwd=REPO)
     return probe.stdout.strip() if probe.returncode == 0 else None
+
+
+def measure_overhead(child: str, argv: list[str], head_src: str,
+                     base_src: str, *, repeats: int, threshold: float,
+                     what: str, drift_hint: str) -> int:
+    """The overhead-gate harness: ``child`` on two source trees.
+
+    The repeats are interleaved and each side's minimum wall time
+    compared.  Returns the gate's exit code (see the module docstring);
+    ``what`` names the measurement in the verdict line and
+    ``drift_hint`` says why a cycle-count drift is fatal.
+    """
+    head_runs, base_runs = [], []
+    for i in range(repeats):
+        # Interleave to decorrelate from slow CI-runner drift.
+        head_runs.append(run_child(head_src, child, argv))
+        base_runs.append(run_child(base_src, child, argv))
+        print(f"  repeat {i + 1}/{repeats}: "
+              f"head {head_runs[-1]['wall_s']:.3f}s  "
+              f"base {base_runs[-1]['wall_s']:.3f}s", flush=True)
+
+    head_cycles = {r["cycles"] for r in head_runs}
+    base_cycles = {r["cycles"] for r in base_runs}
+    if len(head_cycles) != 1 or len(base_cycles) != 1:
+        print(f"FAIL: nondeterministic cycle counts "
+              f"(head {head_cycles}, base {base_cycles})")
+        return 2
+    if head_cycles != base_cycles:
+        print(f"FAIL: simulated cycles drifted: head {head_cycles.pop()} "
+              f"vs baseline {base_cycles.pop()} — {drift_hint}")
+        return 2
+
+    head = min(r["wall_s"] for r in head_runs)
+    base = min(r["wall_s"] for r in base_runs)
+    overhead = 100.0 * (head - base) / base
+    verdict = "OK" if overhead <= threshold else "FAIL"
+    print(f"{verdict}: {what} overhead {overhead:+.2f}% "
+          f"(head {head:.3f}s vs base {base:.3f}s, min of {repeats}; "
+          f"threshold {threshold:.1f}%)")
+    return 0 if overhead <= threshold else 1
+
+
+def compare_to_baseline(child: str, argv: list[str], baseline: str,
+                        **gate) -> int:
+    """:func:`measure_overhead` of HEAD's ``src`` against the tree of git
+    revision ``baseline``, materialized with ``git worktree add``."""
+    sha = resolve_baseline(baseline)
+    if sha is None:
+        print(f"SKIP: cannot resolve baseline {baseline!r} "
+              f"(shallow clone?)")
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="overhead-baseline-") as tmp:
+        base_tree = os.path.join(tmp, "tree")
+        subprocess.run(["git", "worktree", "add", "--detach", base_tree, sha],
+                       check=True, cwd=REPO, capture_output=True)
+        try:
+            return measure_overhead(child, argv, os.path.join(REPO, "src"),
+                                    os.path.join(base_tree, "src"), **gate)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", base_tree],
+                           cwd=REPO, capture_output=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,54 +144,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="max allowed overhead in percent (default: 2)")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
-
-    sha = resolve_baseline(args.baseline)
-    if sha is None:
-        print(f"SKIP: cannot resolve baseline {args.baseline!r} "
-              f"(shallow clone?)")
-        return 0
-
-    with tempfile.TemporaryDirectory(prefix="obs-baseline-") as tmp:
-        base_tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "worktree", "add", "--detach", base_tree, sha],
-                       check=True, cwd=REPO, capture_output=True)
-        try:
-            head_src = os.path.join(REPO, "src")
-            base_src = os.path.join(base_tree, "src")
-            head_runs, base_runs = [], []
-            for i in range(args.repeats):
-                # Interleave to decorrelate from slow CI-runner drift.
-                head_runs.append(run_once(head_src, args.workload,
-                                          args.config))
-                base_runs.append(run_once(base_src, args.workload,
-                                          args.config))
-                print(f"  repeat {i + 1}/{args.repeats}: "
-                      f"head {head_runs[-1]['wall_s']:.3f}s  "
-                      f"base {base_runs[-1]['wall_s']:.3f}s", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", base_tree],
-                           cwd=REPO, capture_output=True)
-
-    head_cycles = {r["cycles"] for r in head_runs}
-    base_cycles = {r["cycles"] for r in base_runs}
-    if len(head_cycles) != 1 or len(base_cycles) != 1:
-        print(f"FAIL: nondeterministic cycle counts "
-              f"(head {head_cycles}, base {base_cycles})")
-        return 2
-    if head_cycles != base_cycles:
-        print(f"FAIL: simulated cycles drifted: head {head_cycles.pop()} "
-              f"vs baseline {base_cycles.pop()} — telemetry must be "
-              f"observation-only")
-        return 2
-
-    head = min(r["wall_s"] for r in head_runs)
-    base = min(r["wall_s"] for r in base_runs)
-    overhead = 100.0 * (head - base) / base
-    verdict = "OK" if overhead <= args.threshold else "FAIL"
-    print(f"{verdict}: {args.workload}/{args.config} tracing-disabled "
-          f"overhead {overhead:+.2f}% (head {head:.3f}s vs base {base:.3f}s, "
-          f"min of {args.repeats}; threshold {args.threshold:.1f}%)")
-    return 0 if overhead <= args.threshold else 1
+    return compare_to_baseline(
+        CHILD, [args.workload, args.config], args.baseline,
+        repeats=args.repeats, threshold=args.threshold,
+        what=f"{args.workload}/{args.config} tracing-disabled",
+        drift_hint="telemetry must be observation-only")
 
 
 if __name__ == "__main__":

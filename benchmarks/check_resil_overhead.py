@@ -11,7 +11,8 @@ baseline git revision:
     python benchmarks/check_resil_overhead.py --baseline origin/main
     python benchmarks/check_resil_overhead.py --baseline <sha> --repeats 7
 
-Methodology matches ``check_obs_overhead.py``: the baseline tree is
+The measurement is ``check_obs_overhead.py``'s harness
+(:func:`check_obs_overhead.compare_to_baseline`): the baseline tree is
 materialized with ``git worktree add``, repeats are interleaved to
 decorrelate from CI-runner drift, and the minimum wall time of each
 side is compared.  The summed simulated cycle counts are additionally
@@ -25,13 +26,12 @@ Exit codes: 0 ok (or SKIP when the baseline is unresolvable),
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import subprocess
 import sys
-import tempfile
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from check_obs_overhead import compare_to_baseline  # noqa: E402
 
 # Runs in a child interpreter with PYTHONPATH set by the parent; prints
 # one JSON line {"wall_s": ..., "cycles": ...}.  Deliberately restricted
@@ -75,20 +75,6 @@ print(json.dumps({"wall_s": wall,
 """
 
 
-def run_once(src_dir: str, tasks: int, workers: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tasks), str(workers)],
-        capture_output=True, text=True, env=env, cwd=REPO, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def resolve_baseline(ref: str) -> str | None:
-    probe = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"],
-                           capture_output=True, text=True, cwd=REPO)
-    return probe.stdout.strip() if probe.returncode == 0 else None
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", default="HEAD~1",
@@ -99,53 +85,13 @@ def main(argv: list[str] | None = None) -> int:
                     help="max allowed overhead in percent (default: 2)")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
-
-    sha = resolve_baseline(args.baseline)
-    if sha is None:
-        print(f"SKIP: cannot resolve baseline {args.baseline!r} "
-              f"(shallow clone?)")
-        return 0
-
-    with tempfile.TemporaryDirectory(prefix="resil-baseline-") as tmp:
-        base_tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "worktree", "add", "--detach", base_tree, sha],
-                       check=True, cwd=REPO, capture_output=True)
-        try:
-            head_src = os.path.join(REPO, "src")
-            base_src = os.path.join(base_tree, "src")
-            head_runs, base_runs = [], []
-            for i in range(args.repeats):
-                # Interleave to decorrelate from slow CI-runner drift.
-                head_runs.append(run_once(head_src, args.tasks, args.workers))
-                base_runs.append(run_once(base_src, args.tasks, args.workers))
-                print(f"  repeat {i + 1}/{args.repeats}: "
-                      f"head {head_runs[-1]['wall_s']:.3f}s  "
-                      f"base {base_runs[-1]['wall_s']:.3f}s", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", base_tree],
-                           cwd=REPO, capture_output=True)
-
-    head_cycles = {r["cycles"] for r in head_runs}
-    base_cycles = {r["cycles"] for r in base_runs}
-    if len(head_cycles) != 1 or len(base_cycles) != 1:
-        print(f"FAIL: nondeterministic cycle counts "
-              f"(head {head_cycles}, base {base_cycles})")
-        return 2
-    if head_cycles != base_cycles:
-        print(f"FAIL: simulated cycles drifted: head {head_cycles.pop()} "
-              f"vs baseline {base_cycles.pop()} — the resilience layer "
-              f"must be invisible when nothing fails")
-        return 2
-
-    head = min(r["wall_s"] for r in head_runs)
-    base = min(r["wall_s"] for r in base_runs)
-    overhead = 100.0 * (head - base) / base
-    verdict = "OK" if overhead <= args.threshold else "FAIL"
-    print(f"{verdict}: sharded engine ({args.tasks} tasks, "
-          f"{args.workers} workers) uninjected overhead {overhead:+.2f}% "
-          f"(head {head:.3f}s vs base {base:.3f}s, min of {args.repeats}; "
-          f"threshold {args.threshold:.1f}%)")
-    return 0 if overhead <= args.threshold else 1
+    return compare_to_baseline(
+        CHILD, [str(args.tasks), str(args.workers)], args.baseline,
+        repeats=args.repeats, threshold=args.threshold,
+        what=f"sharded engine ({args.tasks} tasks, {args.workers} workers) "
+             f"uninjected",
+        drift_hint="the resilience layer must be invisible when nothing "
+                   "fails")
 
 
 if __name__ == "__main__":

@@ -101,28 +101,16 @@ def bench_envelope(rows: "dict[str, WorkloadRow]", model: str) -> dict:
     })
 
 
-#: GCStats fields that carry (or bucket by) wall-clock nanoseconds, or
-#: fill only while tracing is enabled — envelope bytes must not depend
-#: on either, so the fuzz envelope drops them.
-_GC_WALL_FIELDS = frozenset({
-    "gc_pause_ns", "root_scan_ns", "mark_ns", "sweep_ns", "max_pause_ns",
-    "alloc_histogram", "pause_histogram", "sweep_histogram",
-})
-
-
 def fuzz_envelope(result: "CampaignResult") -> dict:
-    """``repro-fuzz/1`` — the campaign record, restricted to the
-    deterministic counters (wall-clock pause accounting stays in the
-    obs layer, not in the envelope)."""
-    gc_totals = {k: v for k, v in result.gc_totals.to_dict().items()
-                 if k not in _GC_WALL_FIELDS}
+    """``repro-fuzz/1`` — the campaign record with its simulated
+    collector counts (wall-clock pause times stay in the obs layer)."""
     return envelopes.make(envelopes.FUZZ, {
         "seed": result.seed,
         "iterations": result.iterations,
         "cells": result.cells,
         "ok": result.ok,
         "findings": [f.describe() for f in result.findings],
-        "gc_totals": gc_totals,
+        "gc_totals": result.gc_totals.to_dict(),
         "report": result.report(),
     })
 

@@ -72,8 +72,8 @@ from .exec.cli import add_cache_parser, resolve_cache_dir
 from .gc.collector import GCCheckError
 from .machine.models import MODELS
 from .machine.vm import VMError
-from .obs import runtime as obs_runtime
-from .cliutil import add_cache_flags, add_obs_flags, add_report_flags
+from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
+                      obs_session)
 from .postproc import postprocess
 from .resil.cli import add_chaos_parser
 from .serve.cli import add_serve_parser
@@ -252,14 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         caches = exec_cache.open_caches(cache_dir)
         for cache in caches:
             exec_cache.install_cache(cache)
-    if trace_file:
-        obs_runtime.enable_tracing()
-    if profile_on:
-        obs_runtime.enable_profiling()
-    if metrics_out:
-        obs_runtime.enable_metrics(out=metrics_out)
     try:
-        return args.fn(args)
+        with obs_session(trace_file, profile_on, metrics_out):
+            return args.fn(args)
     except (CFrontError, VMError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -267,20 +262,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if trace_file:
-            obs_runtime.get_tracer().write_jsonl(trace_file)
-            print(f"! trace written to {trace_file}", file=sys.stderr)
-        profile = obs_runtime.session_profile()
-        if profile_on and profile is not None and profile.funcs:
-            print(profile.render_report(), file=sys.stderr)
-        if metrics_out:
-            metrics = obs_runtime.get_metrics()
-            if metrics is not None:
-                metrics.flush()
-                print(f"! metrics written to {metrics_out}", file=sys.stderr)
-            obs_runtime.disable_metrics()
-        if trace_file or profile_on:
-            obs_runtime.reset()
         for cache in caches:
             s = cache.stats
             print(f"! cache[{cache.kind}]: {s.hits} hits, {s.misses} misses, "

@@ -14,12 +14,18 @@ Every report-emitting subcommand carries the same flag trio:
 (``--trace``/``--profile``) and ``--cache-dir`` keep their own helpers
 here too, so ``repro``, ``repro.fuzz``, ``repro serve`` and ``repro
 chaos`` all share one spelling and :class:`repro.api.Client` callers
-see the same serialization the CLIs print.
+see the same serialization the CLIs print.  :func:`obs_session` is the
+one runtime behind ``--trace`` / ``--profile`` / ``--metrics-out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import sys
+from typing import Iterator
+
+from .obs import runtime as obs_runtime
 
 
 def add_report_flags(p: argparse.ArgumentParser, *, json_schema: str,
@@ -60,4 +66,44 @@ def add_cache_flags(p: argparse.ArgumentParser) -> None:
                         "caches rooted at DIR (default: $REPRO_CACHE_DIR)")
 
 
-__all__ = ["add_report_flags", "add_obs_flags", "add_cache_flags"]
+@contextlib.contextmanager
+def obs_session(trace: str | None, profile: bool,
+                metrics_out: str | None) -> Iterator[None]:
+    """Telemetry around one CLI run.
+
+    ``trace`` records a JSONL trace; a metrics registry runs alongside
+    it and its snapshot is embedded as an ``obs.metrics`` instant, so
+    ``repro obs report`` gets its percentile section from the trace
+    alone.  ``profile`` prints the VM hot-spot report to stderr;
+    ``metrics_out`` writes the registry's snapshot.
+    """
+    if trace:
+        obs_runtime.enable_tracing()
+    if profile:
+        obs_runtime.enable_profiling()
+    if trace or metrics_out:
+        obs_runtime.enable_metrics(out=metrics_out)
+    try:
+        yield
+    finally:
+        metrics = obs_runtime.get_metrics()
+        if trace:
+            tracer = obs_runtime.get_tracer()
+            if metrics is not None:
+                tracer.instant("obs.metrics", metrics=metrics.to_dict())
+            tracer.write_jsonl(trace)
+            print(f"! trace written to {trace}", file=sys.stderr)
+        session_profile = obs_runtime.session_profile()
+        if profile and session_profile is not None and session_profile.funcs:
+            print(session_profile.render_report(), file=sys.stderr)
+        if metrics_out:
+            if metrics is not None:
+                metrics.flush()
+                print(f"! metrics written to {metrics_out}", file=sys.stderr)
+            obs_runtime.disable_metrics()
+        if trace or profile:
+            obs_runtime.reset()
+
+
+__all__ = ["add_report_flags", "add_obs_flags", "add_cache_flags",
+           "obs_session"]

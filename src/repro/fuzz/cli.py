@@ -26,11 +26,10 @@ import sys
 
 from ..api import Toolchain
 from ..api.build import dumps_canonical, fuzz_envelope
-from ..cliutil import add_report_flags
+from ..cliutil import add_report_flags, obs_session
 from ..exec import cache as exec_cache
 from ..exec.cli import resolve_cache_dir
 from ..machine.models import MODELS
-from ..obs import runtime as obs_runtime
 from .gen import GenOptions
 from .oracle import check_program, mismatch_predicate
 from .reduce import ReduceStats, reduce_source
@@ -142,36 +141,16 @@ def main(argv: list[str] | None = None) -> int:
             os.path.join(cache_dir, "compile")),)
         for cache in caches:
             exec_cache.install_cache(cache)
-    if args.trace:
-        obs_runtime.enable_tracing()
-    if args.profile:
-        obs_runtime.enable_profiling()
-    if args.metrics_out:
-        obs_runtime.enable_metrics(out=args.metrics_out)
     try:
-        if args.rebreak_addrfold:
-            from .brokenpass import rebroken_addrfold
-            log("WARNING: running with the addrfold aliasing bug re-broken "
-                "(test-only mode)")
-            with rebroken_addrfold():
-                return execute()
-        return execute()
+        with obs_session(args.trace, args.profile, args.metrics_out):
+            if args.rebreak_addrfold:
+                from .brokenpass import rebroken_addrfold
+                log("WARNING: running with the addrfold aliasing bug "
+                    "re-broken (test-only mode)")
+                with rebroken_addrfold():
+                    return execute()
+            return execute()
     finally:
-        if args.trace:
-            obs_runtime.get_tracer().write_jsonl(args.trace)
-            print(f"! trace written to {args.trace}", file=sys.stderr)
-        profile = obs_runtime.session_profile()
-        if args.profile and profile is not None and profile.funcs:
-            print(profile.render_report(), file=sys.stderr)
-        if args.metrics_out:
-            metrics = obs_runtime.get_metrics()
-            if metrics is not None:
-                metrics.flush()
-                print(f"! metrics written to {args.metrics_out}",
-                      file=sys.stderr)
-            obs_runtime.disable_metrics()
-        if args.trace or args.profile:
-            obs_runtime.reset()
         for cache in caches:
             s = cache.stats
             print(f"! cache[{cache.kind}]: {s.hits} hits, {s.misses} misses, "

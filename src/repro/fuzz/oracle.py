@@ -66,10 +66,9 @@ class Outcome:
     output: str = ""
     detail: str = ""
     collections: int = 0
-    # The run's collector counters (``GCStats.to_dict()``) — aggregate
-    # accounting only, never part of the agreement key (the wall-clock
-    # ns fields vary run to run while tracing; the simulated check/
-    # collection counts are deterministic).
+    # The run's simulated collector counts (``GCStats.to_dict()``):
+    # aggregate accounting only, never part of the agreement key (builds
+    # legitimately differ in how often they collect and check).
     gc_stats: dict = field(default_factory=dict)
 
     def key(self) -> tuple:

@@ -16,7 +16,7 @@ Semantics follow the paper's "Compiler Safety Problem Statement":
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from .heap import Heap, PageDescriptor
@@ -24,6 +24,11 @@ from .memory import HEAP_BASE, Memory, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from ..cfront.ctypes import WORD_SIZE
 from ..obs import clock as obs_clock
 from ..obs import runtime as obs_runtime
+from ..obs.metrics import SIZE_BUCKETS
+
+# The clock of an unobserved collection: ``int()`` is 0, so phase times
+# cost no host-clock read and come out as 0.
+_NULL_CLOCK = int
 
 
 class GCCheckError(Exception):
@@ -32,6 +37,11 @@ class GCCheckError(Exception):
 
 @dataclass
 class GCStats:
+    """The collector's simulated counts: pure functions of the program,
+    its inputs and the collection schedule, never of the host.  Wall-
+    clock pause times live in the ``gc.collect`` span and the metrics
+    registry's ``gc.*_ns`` histograms instead."""
+
     collections: int = 0
     bytes_allocated: int = 0
     objects_allocated: int = 0
@@ -46,81 +56,29 @@ class GCStats:
     same_obj_checks: int = 0
     incr_checks: int = 0
     base_checks: int = 0
-    # Wall-clock pause accounting (observational — never feeds back
-    # into simulated cycles).  Every collection fills ``gc_pause_ns``
-    # and ``max_pause_ns``; the phase split (``root_scan_ns``,
-    # ``mark_ns``, ``sweep_ns``) needs the phase clock and is filled
-    # only on the instrumented path (tracing or a metrics registry).
-    gc_pause_ns: int = 0
-    root_scan_ns: int = 0
-    mark_ns: int = 0
-    sweep_ns: int = 0
-    max_pause_ns: int = 0
-    # Allocation-size histogram, bucketed by ``size.bit_length()``
-    # (bucket b holds requests of 2**(b-1) .. 2**b - 1 bytes); populated
-    # only while tracing is enabled.
-    alloc_histogram: dict[int, int] = field(default_factory=dict)
-    # Pause-duration histograms, bucketed by ``pause_ns.bit_length()``
-    # (same power-of-two scheme).  ``pause_histogram`` is maintained on
-    # both collect paths — it is pure integer bookkeeping, one
-    # bit_length per collection; ``sweep_histogram`` needs the phase
-    # clock and is populated only on the instrumented path.
-    pause_histogram: dict[int, int] = field(default_factory=dict)
-    sweep_histogram: dict[int, int] = field(default_factory=dict)
 
     def reset(self) -> None:
         """Zero every counter (fresh measurement window)."""
-        fresh = GCStats()
         for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(fresh, name))
+            setattr(self, name, 0)
 
     # ``reset()`` and the per-kind check counters are process-local —
     # a sharded campaign runs its collectors in worker processes, so
     # aggregate accounting needs an explicit, serializable merge.
 
-    # Dict-valued fields that merge keywise instead of additively.
-    _HISTOGRAM_FIELDS = ("alloc_histogram", "pause_histogram",
-                         "sweep_histogram")
-
     def to_dict(self) -> dict:
-        """JSON/pickle-safe snapshot of every counter.  Empty histograms
-        are elided so an untouched window serializes identically whether
-        or not its fields were ever registered."""
-        d = {name: getattr(self, name)
-             for name in self.__dataclass_fields__
-             if name not in self._HISTOGRAM_FIELDS}
-        for name in self._HISTOGRAM_FIELDS:
-            hist = getattr(self, name)
-            if hist:
-                d[name] = dict(hist)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GCStats":
-        stats = GCStats()
-        stats.merge(d)
-        return stats
+        """JSON/pickle-safe snapshot of every counter."""
+        return asdict(self)
 
     def merge(self, other: "GCStats | dict") -> "GCStats":
-        """Fold another window's counters into this one (in place).
-
-        Every counter is additive except ``max_pause_ns`` (maximum).
-        The live-set snapshot fields sum too: merging windows from
-        distinct collectors yields the total final live set across
-        them, and check-count aggregates — the quantity sharded-vs-
-        serial equivalence is pinned on — stay exact.
-        """
+        """Fold another window's counters into this one (in place), a
+        field-wise sum.  The live-set snapshot fields sum too: merging
+        windows from distinct collectors yields the total final live set
+        across them, and check-count aggregates — the quantity sharded-
+        vs-serial equivalence is pinned on — stay exact."""
         d = other.to_dict() if isinstance(other, GCStats) else other
         for name, value in d.items():
-            if name in self._HISTOGRAM_FIELDS:
-                hist = getattr(self, name)
-                for bucket, count in value.items():
-                    bucket = int(bucket)
-                    hist[bucket] = hist.get(bucket, 0) + count
-            elif name == "max_pause_ns":
-                self.max_pause_ns = max(self.max_pause_ns, value)
-            else:
-                setattr(self, name, getattr(self, name) + value)
+            setattr(self, name, getattr(self, name) + value)
         return self
 
 
@@ -154,8 +112,7 @@ class Collector:
         self._allocated_since_gc = 0
         self.collections_enabled = True
         # Telemetry: defaults to the process-wide tracer at construction
-        # time.  All emission sites guard on ``tracer.enabled`` so the
-        # untraced paths stay byte-for-byte the original ones.
+        # time; see ``collect`` for what tracing adds.
         self.tracer = tracer if tracer is not None else obs_runtime.get_tracer()
 
     # -- roots ----------------------------------------------------------------
@@ -178,32 +135,26 @@ class Collector:
     def malloc(self, size: int) -> int:
         """GC_malloc: allocate zeroed memory, collecting first when the
         allocation budget since the last collection is exhausted."""
-        if self.collections_enabled and self._allocated_since_gc >= self._threshold:
-            self.collect()
-        addr = self.heap.allocate(size)
-        self.stats.bytes_allocated += size
-        self.stats.objects_allocated += 1
-        self._allocated_since_gc += size
-        if self.tracer.enabled:
-            bucket = max(size, 1).bit_length()
-            hist = self.stats.alloc_histogram
-            hist[bucket] = hist.get(bucket, 0) + 1
-        return addr
+        return self._allocate(size, atomic=False)
 
     def malloc_atomic(self, size: int) -> int:
         """GC_malloc_atomic: allocate pointer-free memory.  The mark
         phase never scans it, so bit patterns inside (string bytes,
         bignum digits) cannot cause false retention."""
+        return self._allocate(size, atomic=True)
+
+    def _allocate(self, size: int, atomic: bool) -> int:
         if self.collections_enabled and self._allocated_since_gc >= self._threshold:
             self.collect()
-        addr = self.heap.allocate(size, atomic=True)
+        addr = self.heap.allocate(size, atomic=atomic)
         self.stats.bytes_allocated += size
         self.stats.objects_allocated += 1
         self._allocated_since_gc += size
-        if self.tracer.enabled:
-            bucket = max(size, 1).bit_length()
-            hist = self.stats.alloc_histogram
-            hist[bucket] = hist.get(bucket, 0) + 1
+        metrics = obs_runtime.get_metrics()
+        if metrics is not None:
+            # Request sizes are simulated values: a deterministic series.
+            metrics.histogram("gc.alloc_bytes", bounds=SIZE_BUCKETS,
+                              det=True).observe(size)
         return addr
 
     def realloc(self, addr: int, new_size: int) -> int:
@@ -223,83 +174,49 @@ class Collector:
     # -- collection ----------------------------------------------------------------
 
     def collect(self) -> int:
-        """Run a full mark-sweep collection; return objects reclaimed."""
-        stats = self.stats
-        metrics = obs_runtime.get_metrics()
-        if not self.tracer.enabled and metrics is None:
-            stats.collections += 1
-            clock = obs_clock.get_clock()
-            t0 = clock()
-            self._mark()
-            reclaimed = self._sweep()
-            pause_ns = clock() - t0
-            stats.gc_pause_ns += pause_ns
-            stats.max_pause_ns = max(stats.max_pause_ns, pause_ns)
-            bucket = max(pause_ns, 1).bit_length()
-            hist = stats.pause_histogram
-            hist[bucket] = hist.get(bucket, 0) + 1
-            stats.live_bytes = self.heap.bytes_in_use
-            stats.live_objects = self.heap.objects_in_use
-            self._allocated_since_gc = 0
-            self._threshold = max(self._threshold, 2 * self.heap.bytes_in_use)
-            return reclaimed
-        # Metrics-only runs route through the instrumented path too: a
-        # disabled tracer's spans are NULL_SPAN no-ops, so only the
-        # phase-clock reads and metric observations are added.
-        return self._collect_traced(metrics)
+        """Run a full mark-sweep collection; return objects reclaimed.
 
-    def _collect_traced(self, metrics=None) -> int:
-        """Traced variant of :meth:`collect`: identical collection
-        semantics, plus a ``gc.collect`` span with the pause broken down
-        into root-scan / mark / sweep, heap-timeline counters, and —
-        when a metrics registry is active — pause/phase histograms."""
-        stats = self.stats
-        tracer = self.tracer
+        The simulated counts land in :attr:`stats`.  Wall-clock phase
+        times go to the ``gc.collect`` span (with the heap-occupancy
+        counters that draw the timeline) and to the metrics registry's
+        ``gc.*_ns`` histograms; with neither on, the phases are timed by
+        a null clock and the host clock is never read.
+        """
+        stats, heap, tracer = self.stats, self.heap, self.tracer
+        metrics = obs_runtime.get_metrics()
+        clock = (obs_clock.get_clock()
+                 if tracer.enabled or metrics is not None else _NULL_CLOCK)
         alloc_since = self._allocated_since_gc
         stats.collections += 1
-        with tracer.span("gc.collect", number=stats.collections) as sp:
-            clock = obs_clock.get_clock()
-            phases: dict[str, int] = {}
+        with tracer.span("gc.collect", number=stats.collections) as span:
             t0 = clock()
-            self._mark(phases)
+            root_scan_ns = self._mark(clock)
             t1 = clock()
             reclaimed = self._sweep()
             t2 = clock()
-            stats.live_bytes = self.heap.bytes_in_use
-            stats.live_objects = self.heap.objects_in_use
+            live = stats.live_bytes = heap.bytes_in_use
+            stats.live_objects = heap.objects_in_use
             self._allocated_since_gc = 0
-            self._threshold = max(self._threshold, 2 * self.heap.bytes_in_use)
-
-            pause_ns = t2 - t0
-            sweep_ns = t2 - t1
-            root_scan_ns = phases.get("root_scan_ns", 0)
-            mark_ns = (t1 - t0) - root_scan_ns
-            stats.gc_pause_ns += pause_ns
-            stats.root_scan_ns += root_scan_ns
-            stats.mark_ns += mark_ns
-            stats.sweep_ns += sweep_ns
-            stats.max_pause_ns = max(stats.max_pause_ns, pause_ns)
-            for hist, value in ((stats.pause_histogram, pause_ns),
-                                (stats.sweep_histogram, sweep_ns)):
-                bucket = max(value, 1).bit_length()
-                hist[bucket] = hist.get(bucket, 0) + 1
-
-            page_bytes = sum(d.n_pages for d in self.heap.all_pages) * PAGE_SIZE
-            live = self.heap.bytes_in_use
-            fragmentation = 1.0 - live / page_bytes if page_bytes else 0.0
-            sp.set(pause_ns=pause_ns, root_scan_ns=root_scan_ns,
-                   mark_ns=mark_ns, sweep_ns=sweep_ns,
-                   marked=stats.marked_last_gc, reclaimed_objects=reclaimed,
-                   alloc_since_gc=alloc_since, live_bytes=live,
-                   live_objects=self.heap.objects_in_use,
-                   page_bytes=page_bytes,
-                   fragmentation=round(fragmentation, 4),
-                   threshold=self._threshold)
-        tracer.counter("gc.live_bytes", live)
-        tracer.counter("gc.live_objects", self.heap.objects_in_use)
-        tracer.counter("gc.page_bytes", page_bytes)
-        tracer.counter("gc.fragmentation", round(fragmentation, 4))
-        tracer.counter("gc.pause_ns", pause_ns)
+            self._threshold = max(self._threshold, 2 * live)
+            pause_ns, sweep_ns = t2 - t0, t2 - t1
+            mark_ns = t1 - t0 - root_scan_ns
+            if tracer.enabled:
+                page_bytes = sum(d.n_pages for d in heap.all_pages) * PAGE_SIZE
+                fragmentation = (round(1.0 - live / page_bytes, 4)
+                                 if page_bytes else 0.0)
+                span.set(pause_ns=pause_ns, root_scan_ns=root_scan_ns,
+                         mark_ns=mark_ns, sweep_ns=sweep_ns,
+                         marked=stats.marked_last_gc,
+                         reclaimed_objects=reclaimed,
+                         alloc_since_gc=alloc_since, live_bytes=live,
+                         live_objects=stats.live_objects,
+                         page_bytes=page_bytes, fragmentation=fragmentation,
+                         threshold=self._threshold)
+                tracer.counter("gc.live_bytes", live)
+                tracer.counter("gc.live_objects", stats.live_objects)
+                tracer.counter("gc.page_bytes", page_bytes)
+                tracer.counter("gc.fragmentation", fragmentation)
+                tracer.counter("gc.pause_ns", pause_ns)
         if metrics is not None:
             # Deterministic counters (simulated quantities) ...
             metrics.counter("gc.collections").inc()
@@ -310,10 +227,12 @@ class Collector:
             metrics.histogram("gc.mark_ns").observe(mark_ns)
             metrics.histogram("gc.sweep_ns").observe(sweep_ns)
             metrics.gauge("gc.live_bytes").set(live)
-            metrics.gauge("gc.live_objects").set(self.heap.objects_in_use)
+            metrics.gauge("gc.live_objects").set(stats.live_objects)
         return reclaimed
 
-    def _mark(self, phases: dict[str, int] | None = None) -> None:
+    def _mark(self, clock: Callable[[], int]) -> int:
+        """Mark everything reachable from the roots; return the root-scan
+        time in ``clock`` nanoseconds."""
         # The mark phase is the collector's hot loop: every word of every
         # root range and every reachable object flows through here.  The
         # two-level page-table lookup is inlined (one bounds-free double
@@ -383,21 +302,20 @@ class Collector:
                 if addr + WORD_SIZE > chunk_end:
                     addr = page_end
 
-        clock = obs_clock.get_clock() if phases is not None else None
-        t0 = clock() if clock is not None else 0
+        t0 = clock()
         for root in self._all_root_ranges():
             scan_words(root.start, root.end, True)
         for provider in self.dynamic_root_providers:
             for value in provider():
                 if lo <= value < hi:
                     consider(value, True)
-        if clock is not None:
-            phases["root_scan_ns"] = clock() - t0
+        root_scan_ns = clock() - t0
 
         while worklist:
             base, size = worklist.pop()
             scan_words(base, base + size, False)
         self.stats.marked_last_gc = marked
+        return root_scan_ns
 
     def _all_root_ranges(self) -> Iterable[RootRange]:
         yield from self.static_roots

@@ -20,8 +20,9 @@
         (profiled runs embed one per recording).
 
     python -m repro.obs trajectory --workload cfrac --out BENCH_obs.json
-        Run every config, append one perf-trajectory point (cycles,
-        wall time, GC pause totals per config) to the trajectory file.
+        Measure every config as the sentinel does (untraced, min of 3
+        runs) and append one perf-trajectory point (cycles, wall time,
+        GC pause totals per config) to the trajectory file.
 
     python -m repro.obs trajectory --check [FILES...]
         Schema-validate every BENCH_*.json trajectory; exits non-zero
@@ -48,8 +49,9 @@ from . import clock as obs_clock
 from . import runtime
 from .metrics import load_snapshot, render_snapshot
 from .report import render_text, summarize
-from .sentinel import (TRAJECTORY_SCHEMA, default_trajectories,
-                       render_verdict, run_sentinel, validate_trajectories)
+from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY_SCHEMA,
+                       _measure, default_trajectories, render_verdict,
+                       run_sentinel, validate_trajectories)
 from .tracer import load_jsonl
 from .vmprof import PGO_SCHEMA, pgo_from_profile_dict
 from ..gc.collector import Collector, GCCheckError
@@ -57,8 +59,6 @@ from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
 from ..machine.vm import VM, VMError
 from ..workloads import AUX_WORKLOADS, WORKLOADS, load_workload
-
-DEFAULT_TRAJECTORY_CONFIGS = ("O", "O_safe", "g", "g_checked")
 
 
 def _workload_source(name: str) -> tuple[str, str]:
@@ -69,37 +69,11 @@ def _workload_source(name: str) -> tuple[str, str]:
     return load_workload(name), spec.stdin
 
 
-def _gc_stats_instant(tracer, collector: Collector) -> None:
-    """Close the trace with a self-contained GC stats snapshot (the
-    allocation histogram lives in GCStats, not in span args)."""
-    stats = collector.stats
-    tracer.instant(
-        "gc.stats",
-        collections=stats.collections,
-        bytes_allocated=stats.bytes_allocated,
-        objects_allocated=stats.objects_allocated,
-        objects_reclaimed=stats.objects_reclaimed,
-        bytes_reclaimed=stats.bytes_reclaimed,
-        live_bytes=stats.live_bytes,
-        live_objects=stats.live_objects,
-        checks_performed=stats.checks_performed,
-        same_obj_checks=stats.same_obj_checks,
-        incr_checks=stats.incr_checks,
-        base_checks=stats.base_checks,
-        gc_pause_ns=stats.gc_pause_ns,
-        root_scan_ns=stats.root_scan_ns,
-        mark_ns=stats.mark_ns,
-        sweep_ns=stats.sweep_ns,
-        max_pause_ns=stats.max_pause_ns,
-        alloc_histogram={str(k): v for k, v in
-                         sorted(stats.alloc_histogram.items())},
-    )
-
-
 def _record_one(source: str, stdin: str, config_name: str, model_key: str,
-                gc_interval: int, profile_on: bool, metrics_on: bool = True):
-    """Run one compile+execute under a fresh tracer; return
-    (tracer, profile, collector, run result, wall seconds, metrics).
+                gc_interval: int, profile_on: bool):
+    """Run one compile+execute under a fresh tracer and metrics
+    registry; return (tracer, profile, run result, wall seconds,
+    metrics).
 
     All timestamps — the tracer's, the wall time, and the metric
     histograms — read the single injectable ns clock (``obs.clock``),
@@ -108,7 +82,7 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
     runtime.reset()
     tracer = runtime.enable_tracing()
     profile = runtime.enable_profiling() if profile_on else None
-    metrics = runtime.enable_metrics() if metrics_on else None
+    metrics = runtime.enable_metrics()
     try:
         config = CompileConfig.named(config_name, MODELS[model_key])
         collector = Collector()
@@ -119,18 +93,18 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
         vm.stdin = stdin
         result = vm.run()
         wall_s = (obs_clock.now_ns() - t0_ns) / 1e9
-        _gc_stats_instant(tracer, collector)
-        if metrics is not None:
-            # Embed the snapshot so report/summarize can rebuild the
-            # percentile section from the trace alone.
-            tracer.instant("obs.metrics", metrics=metrics.to_dict())
+        # Close the trace with the run's simulated GC counts and its
+        # metrics snapshot, so report/summarize can rebuild the
+        # percentile and allocation-size sections from the trace alone.
+        tracer.instant("gc.stats", **collector.stats.to_dict())
+        tracer.instant("obs.metrics", metrics=metrics.to_dict())
         if profile is not None:
             # Embed the full per-block profile so a later `report --pgo`
             # can regenerate the fusion envelope from the trace alone.
             tracer.instant("vm.profile", profile=profile.to_dict())
     finally:
         runtime.reset()
-    return tracer, profile, collector, result, wall_s, metrics
+    return tracer, profile, result, wall_s, metrics
 
 
 def cmd_record(args: argparse.Namespace) -> int:
@@ -147,7 +121,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             stdin = fh.read()
 
     try:
-        tracer, profile, collector, result, wall_s, metrics = _record_one(
+        tracer, profile, result, wall_s, metrics = _record_one(
             source, stdin, args.config, args.model, args.gc_interval,
             profile_on=not args.no_profile)
     except (GCCheckError, VMError) as exc:
@@ -157,9 +131,9 @@ def cmd_record(args: argparse.Namespace) -> int:
     tracer.write_jsonl(args.out)
     if args.chrome:
         tracer.write_chrome(args.chrome)
-    if args.metrics_out and metrics is not None:
+    if args.metrics_out:
         metrics.write_jsonl(args.metrics_out, append=False)
-    if args.prom and metrics is not None:
+    if args.prom:
         metrics.write_prometheus(args.prom)
     if args.pgo_out:
         if profile is None:
@@ -281,29 +255,20 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "configs": {},
     }
     for config_name in configs:
-        tracer, profile, collector, result, wall_s, _ = _record_one(
-            source, stdin, config_name, args.model, args.gc_interval,
-            profile_on=False, metrics_on=False)
-        stats = collector.stats
-        point["configs"][config_name] = {
-            "exit_code": result.exit_code,
-            "cycles": result.cycles,
-            "instructions": result.instructions,
-            "collections": result.collections,
-            "checks": result.checks,
-            "wall_s": round(wall_s, 4),
-            "gc_pause_ns": stats.gc_pause_ns,
-            "gc_root_scan_ns": stats.root_scan_ns,
-            "gc_mark_ns": stats.mark_ns,
-            "gc_sweep_ns": stats.sweep_ns,
-            "gc_max_pause_ns": stats.max_pause_ns,
-            "live_bytes_after": stats.live_bytes,
-        }
+        # The sentinel's own measurement, so trajectory points and the
+        # fresh runs gated against them are taken the same way.
+        cell, issues = _measure(source, stdin, config_name, args.model,
+                                args.gc_interval, DEFAULT_REPEATS)
+        if issues:
+            for issue in issues:
+                print(f"error: {issue}", file=sys.stderr)
+            return 1
+        point["configs"][config_name] = cell
         if not args.quiet:
             print(f"{args.workload}/{config_name}/{args.model}: "
-                  f"cycles={result.cycles} wall={wall_s:.2f}s "
-                  f"gc_pause={stats.gc_pause_ns / 1e6:.2f}ms "
-                  f"collections={result.collections}", flush=True)
+                  f"cycles={cell['cycles']} wall={cell['wall_s']:.2f}s "
+                  f"gc_pause={cell['gc_pause_ns'] / 1e6:.2f}ms "
+                  f"collections={cell['collections']}", flush=True)
 
     try:
         with open(args.out) as fh:
@@ -421,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "exits non-zero on malformed/empty files")
     p.add_argument("--workload", default="cfrac")
     p.add_argument("--model", choices=tuple(MODELS), default="ss10")
-    p.add_argument("--configs", default=",".join(DEFAULT_TRAJECTORY_CONFIGS))
+    p.add_argument("--configs", default=",".join(DEFAULT_CONFIGS))
     p.add_argument("--gc-interval", type=int, default=0)
     p.add_argument("--out", default="BENCH_obs.json")
     p.add_argument("--label", default="")
@@ -444,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trajectory files (default: every BENCH_*.json)")
     p.add_argument("--workload", default="cfrac")
     p.add_argument("--model", choices=tuple(MODELS), default="ss10")
-    p.add_argument("--configs", default=",".join(DEFAULT_TRAJECTORY_CONFIGS))
+    p.add_argument("--configs", default=",".join(DEFAULT_CONFIGS))
     p.add_argument("--gc-interval", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="min-of-N wall measurement (default 3)")
+    p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
+                   help="min-of-N wall measurement (default %(default)s)")
     p.add_argument("--wall-slack", type=float, default=0.5,
                    help="relative wall tolerance floor (default 0.5)")
     p.add_argument("--mad-k", type=float, default=3.0,

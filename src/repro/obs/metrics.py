@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from typing import Any, Iterable, TextIO
 
 from ..api import envelopes
@@ -55,6 +56,10 @@ TIME_BUCKETS_NS: tuple[int, ...] = tuple(1 << b for b in range(12, 35))
 #: Bounds for simulated-count histograms (cycles, instructions):
 #: powers of two from 256 to 2**32.
 COUNT_BUCKETS: tuple[int, ...] = tuple(1 << b for b in range(8, 33))
+
+#: Bounds for simulated byte sizes (allocation requests): powers of two
+#: from 1 B to 64 MiB, the default heap limit.
+SIZE_BUCKETS: tuple[int, ...] = tuple(1 << b for b in range(0, 27))
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -183,14 +188,7 @@ class Histogram:
 
     def observe(self, value: int | float) -> None:
         value = int(value)
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:  # first bound >= value (bisect_left on bounds)
-            mid = (lo + hi) // 2
-            if self.bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1  # first bound >= value
         self.count += 1
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)

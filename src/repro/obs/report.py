@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from . import metrics as metrics_mod
 from ..api import envelopes
 from .metrics import Histogram, MetricsRegistry
 from .tracer import TraceEvent
@@ -38,20 +37,6 @@ PERCENTILE_METRICS = (
     "exec.task_wall_ns", "exec.queue_wait_ns",
 )
 
-# Span name -> (metric name, args key or None for the span duration):
-# used to synthesize percentile histograms from a plain trace when the
-# run had no metrics registry active.
-_SPAN_HISTOGRAMS = (
-    ("gc.collect", "gc.pause_ns", "pause_ns"),
-    ("gc.collect", "gc.root_scan_ns", "root_scan_ns"),
-    ("gc.collect", "gc.mark_ns", "mark_ns"),
-    ("gc.collect", "gc.sweep_ns", "sweep_ns"),
-    ("vm.run", "vm.run_wall_ns", None),
-    ("vm.run", "vm.run_cycles", "cycles"),
-    ("exec.task", "exec.task_wall_ns", None),
-)
-
-
 def _as_dict(event: TraceEvent | dict[str, Any]) -> dict[str, Any]:
     if isinstance(event, dict):
         return event
@@ -65,11 +50,11 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
               ) -> dict[str, Any]:
     """Aggregate a trace into the ``repro-obs-summary/1`` dict.
 
-    ``metrics`` (a registry or its ``to_dict`` payload) adds a
-    ``metrics`` section and drives the ``percentiles`` section; without
-    one, percentile histograms are synthesized from the trace's
-    ``gc.collect`` / ``vm.run`` / ``exec.task`` spans, so old traces
-    still get a percentile section.
+    ``metrics`` (a registry or its ``to_dict`` payload), or else an
+    ``obs.metrics`` instant embedded in the trace, adds a ``metrics``
+    section and drives the ``percentiles`` section.  Every trace writer
+    (``repro obs record``, ``--trace`` on ``repro`` and ``repro.fuzz``)
+    embeds one.
     """
     evs = [_as_dict(e) for e in events]
     metrics_payload: dict[str, Any] | None = None
@@ -179,32 +164,12 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
     avg = gc["pause_ns_total"] // gc["collections"] if gc["collections"] else 0
     gc["pause_ns_avg"] = avg
 
-    # Percentile section: prefer real metric histograms (exact bucket
-    # counts, shard-merged); fall back to histograms synthesized from
-    # the trace spans.
+    # Percentile section: the metric histograms' exact bucket counts.
     if metrics is not None:
         metrics_payload = (metrics.to_dict()
                            if isinstance(metrics, MetricsRegistry)
                            else dict(metrics))
-    reg = MetricsRegistry()
-    if metrics_payload:
-        reg.merge(metrics_payload)
-    else:
-        for e in evs:
-            if e.get("kind") != "span":
-                continue
-            name, args = e.get("name", ""), e.get("args", {})
-            for span_name, metric_name, args_key in _SPAN_HISTOGRAMS:
-                if name != span_name:
-                    continue
-                value = (e.get("dur", 0) if args_key is None
-                         else args.get(args_key))
-                if value is None:
-                    continue
-                bounds = (metrics_mod.COUNT_BUCKETS
-                          if metric_name == "vm.run_cycles"
-                          else metrics_mod.TIME_BUCKETS_NS)
-                reg.histogram(metric_name, bounds=bounds).observe(value)
+    reg = MetricsRegistry().merge(metrics_payload or {})
     percentiles: dict[str, dict[str, Any]] = {}
     for name in PERCENTILE_METRICS:
         hist = reg.get(name)
@@ -307,15 +272,18 @@ def render_gc_report(summary: dict[str, Any], max_rows: int = 20) -> str:
             f"{_bar(c['pause_ns'], peak)}")
     if len(timeline) > max_rows:
         lines.append(f"  ... {len(timeline) - max_rows} more collection(s)")
-    hist = (gc.get("stats") or {}).get("alloc_histogram")
-    if hist:
+    entry = summary.get("metrics", {}).get("gc.alloc_bytes")
+    if entry:
         lines.append("  allocation-size histogram (bytes -> count):")
-        items = sorted((int(k), v) for k, v in hist.items())
-        peak_n = max(v for _, v in items)
-        for bucket, count in items:
-            lo = 1 << (bucket - 1) if bucket > 1 else 1
-            hi = (1 << bucket) - 1
-            rng = f"{lo}" if lo >= hi else f"{lo}-{hi}"
+        bounds = entry["bounds"]
+        buckets = sorted((int(i), n) for i, n in entry["buckets"].items())
+        peak_n = max(n for _, n in buckets)
+        for i, count in buckets:
+            lo = bounds[i - 1] + 1 if i else 0
+            if i == len(bounds):
+                rng = f">{bounds[-1]}"
+            else:
+                rng = f"{lo}" if lo == bounds[i] else f"{lo}-{bounds[i]}"
             lines.append(f"    {rng:>12s} {count:>9d}  {_bar(count, peak_n)}")
     return "\n".join(lines)
 

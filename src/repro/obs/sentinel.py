@@ -51,6 +51,8 @@ EXEC_SCHEMA = envelopes.EXEC_BENCH
 VM2_SCHEMA = envelopes.VM2_BENCH
 
 DEFAULT_CONFIGS = ("O", "O_safe", "g", "g_checked")
+#: Runs per config; the cell keeps the fastest (min-of-N wall).
+DEFAULT_REPEATS = 3
 
 #: The bit-exact comparison keys of one trajectory config cell.
 COUNT_KEYS = ("exit_code", "cycles", "instructions", "collections", "checks")
@@ -159,22 +161,32 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
              gc_interval: int, repeats: int) -> tuple[dict, list[str]]:
     """Compile + run one config ``repeats`` times; returns the fresh
     cell (counts + min-of-N wall + GC phase totals of the best run) and
-    any determinism violations across repeats."""
+    any determinism violations across repeats.
+
+    Each run gets its own metrics registry, the source of its GC phase
+    totals; it is folded into the caller's registry, if any, after the
+    run."""
     issues: list[str] = []
     clock = obs_clock.get_clock()
+    outer = runtime.get_metrics()
     best: dict | None = None
     counts0: tuple | None = None
     for rep in range(max(1, repeats)):
-        config = CompileConfig.named(config_name, MODELS[model_key])
-        collector = Collector()
-        t0 = clock()
-        compiled = compile_source(source, config)
-        vm = VM(compiled.asm, config.model, collector=collector,
-                gc_interval=gc_interval)
-        vm.stdin = stdin
-        result = vm.run()
-        wall_s = (clock() - t0) / 1e9
-        stats = collector.stats
+        registry = runtime.set_metrics(MetricsRegistry())
+        try:
+            config = CompileConfig.named(config_name, MODELS[model_key])
+            collector = Collector()
+            t0 = clock()
+            compiled = compile_source(source, config)
+            vm = VM(compiled.asm, config.model, collector=collector,
+                    gc_interval=gc_interval)
+            vm.stdin = stdin
+            result = vm.run()
+            wall_s = (clock() - t0) / 1e9
+        finally:
+            runtime.set_metrics(outer)
+        if outer is not None:
+            outer.merge(registry)
         counts = (result.exit_code, result.cycles, result.instructions,
                   result.collections, result.checks)
         if counts0 is None:
@@ -189,15 +201,22 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
                 "instructions": result.instructions,
                 "collections": result.collections, "checks": result.checks,
                 "wall_s": round(wall_s, 4),
-                "gc_pause_ns": stats.gc_pause_ns,
-                "gc_root_scan_ns": stats.root_scan_ns,
-                "gc_mark_ns": stats.mark_ns,
-                "gc_sweep_ns": stats.sweep_ns,
-                "gc_max_pause_ns": stats.max_pause_ns,
-                "live_bytes_after": stats.live_bytes,
+                "gc_pause_ns": _hist_stat(registry, "gc.pause_ns", "sum"),
+                "gc_root_scan_ns": _hist_stat(registry, "gc.root_scan_ns",
+                                              "sum"),
+                "gc_mark_ns": _hist_stat(registry, "gc.mark_ns", "sum"),
+                "gc_sweep_ns": _hist_stat(registry, "gc.sweep_ns", "sum"),
+                "gc_max_pause_ns": _hist_stat(registry, "gc.pause_ns", "max"),
+                "live_bytes_after": collector.stats.live_bytes,
             }
     assert best is not None
     return best, issues
+
+
+def _hist_stat(registry: MetricsRegistry, name: str, stat: str) -> int:
+    """``stat`` ("sum" or "max") of one histogram; 0 if never observed."""
+    hist = registry.get(name)
+    return getattr(hist, stat) if hist is not None else 0
 
 
 # -- the sentinel -------------------------------------------------------------
@@ -205,7 +224,7 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
 def run_sentinel(workload: str = "cfrac", source: str | None = None,
                  stdin: str = "", model: str = "ss10",
                  configs: Sequence[str] = DEFAULT_CONFIGS,
-                 repeats: int = 3, gc_interval: int = 0,
+                 repeats: int = DEFAULT_REPEATS, gc_interval: int = 0,
                  trajectories: Sequence[str] | None = None,
                  wall_slack: float = 0.5, mad_k: float = 3.0,
                  strict_wall: bool = False, append: bool = False,

@@ -18,8 +18,10 @@ Design constraints (the layer is wired through every hot subsystem):
   ``span()`` on a disabled tracer returns a pre-allocated null context
   manager (no event object, no clock read, no allocation); ``counter``
   and ``instant`` return after one attribute test.  Code with per-call
-  work beyond that (e.g. the GC's phase timing) must guard on
-  ``tracer.enabled`` and keep its original path when False.
+  work beyond that guards it on ``tracer.enabled`` inside one code
+  path, not a second copy: the collector's single ``collect()`` body
+  times its phases with the obs clock only while tracing or a metrics
+  registry is on, and with a null clock (no host-clock read) otherwise.
 * **Observation only** — events carry wall-clock nanoseconds and never
   feed back into simulated cycle/instruction accounting, so telemetry
   can never perturb benchmark numbers (a test asserts this).

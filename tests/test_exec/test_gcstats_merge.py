@@ -2,26 +2,40 @@
 process-local, so sharded campaigns must fold worker snapshots into the
 parent explicitly — and the fold must reproduce serial aggregates."""
 
+import dataclasses
+
 from repro.fuzz.campaign import run_campaign
 from repro.gc.collector import GCStats
+from repro.obs import runtime
+from repro.obs.metrics import MetricsRegistry
 
 from .conftest import WORKERS
 
-# The sharded-vs-serial equivalence contract pins exactly the
-# deterministic (simulated) counters; wall-clock ns fields are
-# observational and may differ run to run.
-DETERMINISTIC_FIELDS = (
+# GCStats holds simulated counts only; wall-clock pause times live in
+# the gc.collect span and the registry's gc.*_ns histograms.
+SIMULATED_COUNTS = {
     "collections", "bytes_allocated", "objects_allocated",
-    "objects_reclaimed", "bytes_reclaimed", "checks_performed",
+    "objects_reclaimed", "bytes_reclaimed", "marked_last_gc",
+    "checks_performed", "live_bytes", "live_objects",
     "same_obj_checks", "incr_checks", "base_checks",
-)
-
-
-def _det(stats: GCStats) -> dict:
-    return {name: getattr(stats, name) for name in DETERMINISTIC_FIELDS}
+}
 
 
 class TestMergeUnit:
+    def test_fields_are_the_simulated_counts(self):
+        assert {f.name for f in dataclasses.fields(GCStats)} == \
+            SIMULATED_COUNTS
+        assert set(GCStats().to_dict()) == SIMULATED_COUNTS
+
+    def test_merge_is_a_fieldwise_sum(self):
+        a = GCStats(**{name: i for i, name in
+                       enumerate(sorted(SIMULATED_COUNTS), 1)})
+        b = GCStats(**{name: 100 * i for i, name in
+                       enumerate(sorted(SIMULATED_COUNTS), 1)})
+        assert a.merge(b) is a
+        assert a.to_dict() == {name: 101 * i for i, name in
+                               enumerate(sorted(SIMULATED_COUNTS), 1)}
+
     def test_counters_are_additive(self):
         a = GCStats(collections=2, same_obj_checks=10, incr_checks=3,
                     base_checks=1, bytes_allocated=256)
@@ -34,58 +48,13 @@ class TestMergeUnit:
         assert a.base_checks == 1
         assert a.bytes_allocated == 320
 
-    def test_max_pause_takes_maximum(self):
-        a = GCStats(gc_pause_ns=100, max_pause_ns=60)
-        a.merge(GCStats(gc_pause_ns=50, max_pause_ns=45))
-        assert a.gc_pause_ns == 150  # total: additive
-        assert a.max_pause_ns == 60  # peak: maximum
-        a.merge(GCStats(max_pause_ns=90))
-        assert a.max_pause_ns == 90
-
-    def test_histogram_merges_keywise(self):
-        a = GCStats(alloc_histogram={3: 2, 5: 1})
-        a.merge(GCStats(alloc_histogram={3: 4, 7: 9}))
-        assert a.alloc_histogram == {3: 6, 5: 1, 7: 9}
-
-    def test_pause_and_sweep_histograms_merge_keywise(self):
-        a = GCStats(pause_histogram={14: 2, 16: 1}, sweep_histogram={13: 3})
-        a.merge(GCStats(pause_histogram={14: 1, 20: 5},
-                        sweep_histogram={13: 1, 15: 2}))
-        assert a.pause_histogram == {14: 3, 16: 1, 20: 5}
-        assert a.sweep_histogram == {13: 4, 15: 2}
-
-    def test_histogram_merge_accepts_string_buckets(self):
-        # JSON round-trips stringify dict keys; merge must re-int them
-        # so a worker snapshot that crossed a pipe folds identically.
-        a = GCStats(pause_histogram={14: 1})
-        a.merge({"pause_histogram": {"14": 2, "17": 1}})
-        assert a.pause_histogram == {14: 3, 17: 1}
-
     def test_dict_roundtrip(self):
-        a = GCStats(collections=4, same_obj_checks=11, max_pause_ns=7,
-                    alloc_histogram={2: 3})
+        a = GCStats(collections=4, same_obj_checks=11, live_bytes=7)
         d = a.to_dict()
-        # The snapshot is picklable-simple: plain ints + one plain dict,
-        # exactly what crosses the worker pipe.
-        assert d["alloc_histogram"] == {2: 3}
-        assert d["alloc_histogram"] is not a.alloc_histogram
-        b = GCStats.from_dict(d)
-        assert b.to_dict() == d
-
-    def test_empty_histograms_elided_from_dict(self):
-        # Zero-value elision: a run that never collected serializes
-        # identically whether or not the histogram fields were touched.
-        d = GCStats(collections=1).to_dict()
-        assert "pause_histogram" not in d
-        assert "sweep_histogram" not in d
-        assert "alloc_histogram" not in d
-        full = GCStats(pause_histogram={14: 1}, sweep_histogram={12: 1},
-                       alloc_histogram={3: 1}).to_dict()
-        assert full["pause_histogram"] == {14: 1}
-        assert full["sweep_histogram"] == {12: 1}
-        back = GCStats.from_dict(full)
-        assert back.pause_histogram == {14: 1}
-        assert back.sweep_histogram == {12: 1}
+        # The snapshot is picklable-simple: plain ints, exactly what
+        # crosses the worker pipe.
+        assert all(type(v) is int for v in d.values())
+        assert GCStats().merge(d) == a
 
     def test_merge_accepts_raw_dict(self):
         a = GCStats()
@@ -95,27 +64,32 @@ class TestMergeUnit:
 
 
 class TestShardedAggregates:
+    def _campaign(self, workers: int):
+        registry = runtime.set_metrics(MetricsRegistry())
+        try:
+            return run_campaign(seed=0, iters=4, models=("ss10",),
+                                stop_after=None, workers=workers), registry
+        finally:
+            runtime.set_metrics(None)
+
     def test_sharded_campaign_reports_serial_gc_totals(self):
         # Regression (satellite fix): before GCStats.merge, a sharded
         # campaign silently dropped every worker's collector counters —
         # the aggregate check accounting only reflected the parent
-        # process.  Now the deterministic totals must match exactly.
-        kwargs = dict(seed=0, iters=4, models=("ss10",), stop_after=None)
-        serial = run_campaign(workers=1, **kwargs)
-        sharded = run_campaign(workers=WORKERS, **kwargs)
+        # process.  Now the totals must match exactly.
+        serial, serial_metrics = self._campaign(1)
+        sharded, sharded_metrics = self._campaign(WORKERS)
         assert serial.iterations == sharded.iterations == 4
         assert serial.cells == sharded.cells
-        totals = _det(serial.gc_totals)
-        assert totals == _det(sharded.gc_totals)
+        assert serial.gc_totals == sharded.gc_totals
         # The campaign exercised the checked config, so the counters the
         # paper cares about are non-trivially non-zero.
-        assert totals["checks_performed"] > 0
-        assert totals["same_obj_checks"] > 0
-        assert totals["collections"] > 0
-        # The pause histogram is maintained on every collect path (its
-        # bucket *distribution* is wall-dependent, but every collection
-        # lands in exactly one bucket — serial and sharded alike).
-        assert (sum(serial.gc_totals.pause_histogram.values())
-                == totals["collections"])
-        assert (sum(sharded.gc_totals.pause_histogram.values())
-                == totals["collections"])
+        totals = serial.gc_totals
+        assert totals.checks_performed > 0
+        assert totals.same_obj_checks > 0
+        assert totals.collections > 0
+        # Every collection lands one pause in the registry's histogram
+        # (its bucket *distribution* is wall-dependent), serial and
+        # sharded alike.
+        for registry in (serial_metrics, sharded_metrics):
+            assert registry.get("gc.pause_ns").count == totals.collections

@@ -1,5 +1,6 @@
 """Campaign orchestration and the ``python -m repro.fuzz`` CLI."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,15 @@ class TestCLI:
         proc = self.run_cli("--seed", "0", "--iters", "2", "--models", "ss10")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "zero differential mismatches" in proc.stdout
+
+    @pytest.mark.fuzz
+    def test_json_envelope_bytes_pinned(self):
+        # GCStats holds only simulated counts, so the envelope carries
+        # them whole: these bytes must not move with telemetry changes.
+        proc = self.run_cli("--seed", "0", "--iters", "5", "--json")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "1c1e3bce2b62d059cdd3f77427c012b25fd8e7c6e0edc6dcd50be5ec0722edc6")
 
     @pytest.mark.fuzz
     @pytest.mark.slow

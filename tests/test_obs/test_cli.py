@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as repro_main
-from repro.obs import runtime
+from repro.obs import runtime, sentinel
 from repro.obs.cli import main as obs_main
 from repro.obs.tracer import load_jsonl
 
@@ -62,6 +62,9 @@ class TestObsRecord:
         assert s["profile"]["total_cycles"] == s["run"]["cycles"]
         rendered = capsys.readouterr().out
         assert "Compile pipeline" in rendered
+        assert "pause breakdown" in rendered
+        assert "allocation-size histogram" in rendered
+        assert "latency percentiles" in rendered
         assert "VM hot-spot profile" in rendered
 
     def test_record_leaves_runtime_disabled(self, prog_file, tmp_path, capsys):
@@ -122,6 +125,26 @@ class TestObsTrajectory:
         assert doc["points"][0]["configs"]["O"]["cycles"] == \
                doc["points"][1]["configs"]["O"]["cycles"]
 
+    def test_trajectory_point_is_an_untraced_sentinel_cell(
+            self, tmp_path, monkeypatch):
+        traced = []
+        real_run = sentinel.VM.run
+
+        def run(vm):
+            traced.append(vm.gc.tracer.enabled)
+            return real_run(vm)
+
+        monkeypatch.setattr(sentinel.VM, "run", run)
+        out = tmp_path / "BENCH_obs.json"
+        assert obs_main(["trajectory", "--workload", "miniawk",
+                         "--configs", "O", "--quiet",
+                         "--out", str(out)]) == 0
+        assert traced == [False] * sentinel.DEFAULT_REPEATS
+        cell = json.loads(out.read_text())["points"][0]["configs"]["O"]
+        verdict = sentinel.run_sentinel(workload="miniawk", configs=("O",),
+                                        repeats=1, trajectories=[])
+        assert set(cell) == set(verdict["configs"]["O"])
+
     def test_trajectory_rejects_foreign_schema(self, tmp_path):
         out = tmp_path / "BENCH_obs.json"
         out.write_text('{"schema": "something-else"}')
@@ -141,6 +164,16 @@ class TestMainCliFlags:
         names = {e["name"] for e in load_jsonl(str(out))}
         assert {"compile", "vm.run"} <= names
         assert runtime.tracing_enabled() is False
+
+    def test_bench_trace_reports_percentiles(self, tmp_path, capsys):
+        out = tmp_path / "bench-trace.jsonl"
+        assert repro_main(["bench", "--workloads", "cordtest",
+                           "--trace", str(out)]) == 0
+        assert runtime.metrics_enabled() is False
+        capsys.readouterr()
+        assert obs_main(["report", str(out), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["percentiles"]["vm.run_cycles"]["count"] > 0
 
     def test_cc_profile_flag(self, prog_file, capsys):
         rc = repro_main(["cc", "--profile", prog_file])
@@ -172,5 +205,6 @@ class TestFuzzCliFlags:
         assert "stage wall" in captured.out
         names = {e["name"] for e in load_jsonl(str(out))}
         assert {"fuzz.iteration", "fuzz.campaign", "compile",
-                "vm.run"} <= names
+                "vm.run", "obs.metrics"} <= names
         assert runtime.tracing_enabled() is False
+        assert runtime.metrics_enabled() is False

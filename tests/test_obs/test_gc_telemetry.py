@@ -1,9 +1,15 @@
-"""GC telemetry: pause breakdown spans, heap counters, the always-on
-GCStats extensions (live bytes/objects, per-kind check counts, reset),
-and the opt-in allocation-size histogram."""
+"""GC telemetry: pause breakdown spans, heap counters, the metrics
+registry's phase and allocation-size histograms, the clock reads of an
+unobserved collection, and the always-on GCStats counts (live
+bytes/objects, per-kind check counts, reset)."""
+
+import itertools
 
 from repro.gc import Collector
 from repro.gc.collector import GCStats
+from repro.obs import runtime
+from repro.obs.clock import clock_context
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
@@ -61,6 +67,40 @@ class TestCollectSpan:
         assert gc.tracer.enabled is False
         assert gc.tracer.events == []
 
+    def test_unobserved_collection_reads_no_clock(self):
+        gc, roots = collector_with_roots()  # no tracer, no registry
+        roots.append(make_chain(gc, 10))
+        make_chain(gc, 5)
+        reads = []
+
+        def counting_clock():
+            reads.append(1)
+            return 0
+
+        with clock_context(counting_clock):
+            assert gc.collect() == 5
+            gc.collect()
+        assert reads == []
+        assert gc.stats.collections == 2
+
+    def test_span_phases_equal_histogram_sums(self):
+        ticks = itertools.count(0, 1000)
+        with clock_context(lambda: next(ticks)):
+            tracer = Tracer()
+            registry = runtime.set_metrics(MetricsRegistry())
+            gc, roots = collector_with_roots(tracer)
+            roots.append(make_chain(gc, 10))
+            make_chain(gc, 5)
+            gc.collect()
+        (span,) = [e for e in tracer.events if e.name == "gc.collect"]
+        for phase in ("pause", "root_scan", "mark", "sweep"):
+            hist = registry.get(f"gc.{phase}_ns")
+            assert hist.count == 1
+            assert span.args[f"{phase}_ns"] == hist.sum > 0
+        assert span.args["pause_ns"] == sum(
+            span.args[f"{phase}_ns"] for phase in ("root_scan", "mark",
+                                                   "sweep"))
+
     def test_traced_and_untraced_reclaim_identically(self):
         plain, proots = collector_with_roots()
         traced, troots = collector_with_roots(Tracer())
@@ -80,18 +120,19 @@ class TestGCStatsExtensions:
         gc.collect()
         assert gc.stats.live_objects == 10
         assert gc.stats.live_bytes == gc.heap.bytes_in_use
-        assert gc.stats.gc_pause_ns > 0
-        assert gc.stats.max_pause_ns > 0
-        assert gc.stats.max_pause_ns <= gc.stats.gc_pause_ns
 
     def test_pause_breakdown_accumulates(self):
+        registry = runtime.set_metrics(MetricsRegistry())
         gc, roots = collector_with_roots()
         for _ in range(3):
             make_chain(gc, 5)
             gc.collect()
-        s = gc.stats
-        assert s.collections == 3
-        assert s.root_scan_ns + s.mark_ns + s.sweep_ns <= s.gc_pause_ns
+        assert gc.stats.collections == 3
+        pause, root_scan, mark, sweep = (
+            registry.get(f"gc.{phase}_ns")
+            for phase in ("pause", "root_scan", "mark", "sweep"))
+        assert pause.count == root_scan.count == mark.count == sweep.count == 3
+        assert root_scan.sum + mark.sum + sweep.sum == pause.sum > 0
 
     def test_check_kind_attribution(self):
         gc, _roots = collector_with_roots()
@@ -114,15 +155,17 @@ class TestGCStatsExtensions:
         gc.stats.reset()
         assert gc.stats == GCStats()
 
-    def test_alloc_histogram_only_when_traced(self):
-        plain, _ = collector_with_roots()
-        plain.malloc(24)
-        assert plain.stats.alloc_histogram == {}
-
-        traced, _ = collector_with_roots(Tracer())
-        traced.malloc(24)          # bucket 5: 16..31 bytes
-        traced.malloc(24)
-        traced.malloc_atomic(100)  # bucket 7: 64..127 bytes
-        hist = traced.stats.alloc_histogram
-        assert hist[(24).bit_length()] == 2
-        assert hist[(100).bit_length()] == 1
+    def test_alloc_histogram_only_with_registry(self):
+        gc, _ = collector_with_roots(Tracer())
+        gc.malloc(24)  # no registry: tracing alone records no sizes
+        registry = runtime.set_metrics(MetricsRegistry())
+        gc.malloc(24)          # bucket (16, 32]
+        gc.malloc(24)
+        gc.malloc_atomic(100)  # bucket (64, 128]
+        runtime.set_metrics(None)
+        gc.malloc(24)
+        hist = registry.get("gc.alloc_bytes")
+        assert hist.det is True
+        assert (hist.count, hist.sum) == (3, 148)
+        assert hist.counts[hist.bounds.index(32)] == 2
+        assert hist.counts[hist.bounds.index(128)] == 1

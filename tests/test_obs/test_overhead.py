@@ -1,7 +1,7 @@
 """The no-op fast path, guarded structurally: with telemetry disabled
-the instrumented subsystems must take their original code paths — no
-events, no wrapped closures, no histogram bookkeeping — so the only
-residual cost is one attribute test per instrumented site.  A generous
+the instrumented subsystems record nothing — no events, no wrapped
+closures, no clock reads — so the only residual cost is one attribute
+test per instrumented site.  A generous
 micro-benchmark bound backs that up without being timing-flaky; the
 real <2% wall-clock budget on cfrac is enforced by
 ``benchmarks/check_obs_overhead.py`` in CI."""
@@ -12,6 +12,7 @@ from repro.gc import Collector
 from repro.machine import CompileConfig, VM, compile_source
 from repro.machine.models import MODELS
 from repro.obs import runtime
+from repro.obs.clock import clock_context
 from repro.obs.tracer import NULL_SPAN, Tracer
 
 PROGRAM = """
@@ -53,13 +54,14 @@ class TestStructuralNoOp:
         collector = Collector()
         vm = VM(compiled.asm, config.model, collector=collector,
                 gc_interval=50)
-        result = vm.run()
+        reads = []
+        with clock_context(lambda: reads.append(1) or 0):
+            result = vm.run()
         assert result.collections > 0
         assert runtime.get_tracer().events == []
-        assert collector.stats.alloc_histogram == {}
-        # The always-on GCStats satellites still fill in.
+        assert reads == []  # no phase timing, no run wall time
+        # The always-on GCStats counts still fill in.
         assert collector.stats.live_bytes == collector.heap.bytes_in_use
-        assert collector.stats.gc_pause_ns > 0
 
 
 class TestMicroOverhead:

@@ -5,7 +5,7 @@ from repro.gc import Collector
 from repro.machine import CompileConfig, VM, compile_source
 from repro.machine.models import MODELS
 from repro.obs import runtime
-from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import COUNT_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.report import (SUMMARY_SCHEMA, render_compile_report,
                               render_gc_report, render_percentiles_report,
                               render_text, render_vm_report, summarize)
@@ -51,8 +51,31 @@ def synthetic_events():
          "args": {"cycles": 900, "instructions": 800, "collections": 2,
                   "checks": 4}},
         {"kind": "instant", "name": "gc.stats", "t0": 900,
-         "args": {"alloc_histogram": {"6": 40}}},
+         "args": {"collections": 2, "objects_reclaimed": 5}},
     ]
+
+
+def synthetic_metrics() -> dict:
+    """The registry snapshot a recording embeds next to the spans above."""
+    reg = MetricsRegistry()
+    for pause, sweep in ((120, 60), (80, 40)):
+        reg.histogram("gc.pause_ns").observe(pause)
+        reg.histogram("gc.sweep_ns").observe(sweep)
+    reg.histogram("vm.run_cycles", bounds=COUNT_BUCKETS,
+                  det=True).observe(900)
+    reg.histogram("vm.run_wall_ns").observe(5000)
+    alloc = reg.histogram("gc.alloc_bytes", bounds=SIZE_BUCKETS, det=True)
+    for size in [24] * 30 + [100] * 10:
+        alloc.observe(size)
+    return reg.to_dict()
+
+
+def recorded_events():
+    """A trace as every writer leaves it: spans plus an embedded
+    ``obs.metrics`` snapshot."""
+    return synthetic_events() + [
+        {"kind": "instant", "name": "obs.metrics", "t0": 999,
+         "args": {"metrics": synthetic_metrics()}}]
 
 
 class TestSummarize:
@@ -84,7 +107,7 @@ class TestSummarize:
         assert gc["reclaimed_objects"] == 5
         assert gc["live_bytes_last"] == 1024
         assert len(gc["timeline"]) == 2
-        assert gc["stats"]["alloc_histogram"] == {"6": 40}
+        assert gc["stats"] == {"collections": 2, "objects_reclaimed": 5}
 
     def test_vm_aggregation(self):
         vm = summarize(synthetic_events())["vm"]
@@ -101,10 +124,8 @@ class TestSummarize:
 
 
 class TestPercentiles:
-    def test_synthesized_from_spans(self):
-        # No metrics registry was active during the run: the percentile
-        # histograms are rebuilt from gc.collect / vm.run span args.
-        s = summarize(synthetic_events())
+    def test_embedded_metrics_drive_section(self):
+        s = summarize(recorded_events())
         pct = s["percentiles"]
         assert pct["gc.pause_ns"]["count"] == 2
         assert pct["gc.pause_ns"]["max"] == 120
@@ -112,21 +133,26 @@ class TestPercentiles:
         assert pct["vm.run_cycles"] == {
             "count": 1, "p50": 900, "p95": 900, "p99": 900, "max": 900}
         assert pct["vm.run_wall_ns"]["max"] == 5000
-        assert "metrics" not in s  # nothing was embedded
+        assert s["metrics"]["gc.alloc_bytes"]["count"] == 40
 
-    def test_metrics_payload_wins_over_synthesis(self):
+    def test_spans_alone_give_no_percentiles(self):
+        # Percentiles come from metric histograms only; a trace without
+        # an embedded snapshot has no section rather than one rebuilt
+        # from span args.
+        s = summarize(synthetic_events())
+        assert "percentiles" not in s
+        assert "metrics" not in s
+
+    def test_metrics_argument_wins_over_embedded(self):
         reg = MetricsRegistry()
         for v in (100, 200, 300, 400):
             reg.histogram("gc.pause_ns").observe(v)
         reg.histogram("vm.run_cycles", bounds=COUNT_BUCKETS,
                       det=True).observe(2_560_902)
         reg.counter("vm.instructions").inc(1_570_004)
-        events = synthetic_events() + [
-            {"kind": "instant", "name": "obs.metrics", "t0": 999,
-             "args": {"metrics": reg.to_dict()}}]
-        s = summarize(events)
-        # The embedded payload drives the section — 4 observations, not
-        # the 2 gc.collect spans.
+        s = summarize(recorded_events(), metrics=reg)
+        # The registry drives the section — 4 observations, not the 2
+        # of the embedded snapshot.
         assert s["percentiles"]["gc.pause_ns"]["count"] == 4
         assert s["percentiles"]["vm.run_cycles"]["max"] == 2_560_902
         assert s["metrics"]["vm.instructions"]["value"] == 1_570_004
@@ -138,7 +164,7 @@ class TestPercentiles:
         assert s["percentiles"]["exec.task_wall_ns"]["count"] == 1
 
     def test_render_percentiles(self):
-        s = summarize(synthetic_events())
+        s = summarize(recorded_events())
         text = render_percentiles_report(s)
         assert "latency percentiles" in text
         assert "gc.pause_ns" in text
@@ -152,7 +178,7 @@ class TestPercentiles:
 
 class TestRenderText:
     def test_sections_render(self):
-        s = summarize(synthetic_events())
+        s = summarize(recorded_events())
         text = render_text(s)
         assert "Compile pipeline" in text
         assert "optimizer passes" in text
@@ -160,6 +186,15 @@ class TestRenderText:
         assert "root-scan" in text
         assert "allocation-size histogram" in text
         assert "VM: 1 run(s)" in text
+
+    def test_alloc_histogram_rows(self):
+        lines = render_gc_report(summarize(recorded_events())).splitlines()
+        start = lines.index("  allocation-size histogram (bytes -> count):")
+        rows = [line.split()[:2] for line in lines[start + 1:]]
+        assert rows == [["17-32", "30"], ["65-128", "10"]]
+        # No registry snapshot, no histogram.
+        assert "allocation-size" not in render_gc_report(
+            summarize(synthetic_events()))
 
     def test_empty_trace_renders(self):
         s = summarize([])
