@@ -1,20 +1,23 @@
 #!/usr/bin/env python
-"""CI gate: profile-guided superinstructions + allocation sinking must
+"""CI gate: self-selecting superinstructions + allocation sinking must
 actually buy raw VM speed — without moving a single observable count.
 
 Three checks on the paper's hottest workload (cfrac at ``O``/ss10):
 
-* **identity** — a PGO-fused run must be bit-identical to the plain run
-  in every observable (exit code, instructions, cycles, output,
-  collections, pointer checks); a PGO+sink run must keep exit code and
-  output and must not *increase* collections.  Violations exit 2: a
-  count mismatch is a correctness bug, not a perf regression.
+* **identity** — the default VM, whose hot runs fuse themselves, must
+  fuse at least one run and be bit-identical in every observable (exit
+  code, instructions, cycles, output, collections, pointer checks) to
+  a profiled run, which stays unfused; a fused+sink run must keep exit
+  code and output and must not *increase* collections.  Violations
+  exit 2: a count mismatch is a correctness bug, not a perf
+  regression.
 * **allocation sinking payoff** — the ``scratch`` workload (short-lived
   constant-size buffers) must show strictly fewer collections with the
   pass applied.  Exit 1 on violation.
 * **wall clock** — interleaved min-of-N (default 3) wall times of the
-  interpreter loop, plain vs PGO+sink, each sample a fresh subprocess
-  child printing a JSON line; the speedup must reach --min-speedup
+  interpreter loop, plain (the child sets ``superinst.FUSE_AFTER = 0``)
+  vs the default VM with sinking, each sample a fresh subprocess child
+  printing a JSON line; the speedup must reach --min-speedup
   (default 1.5).  Interleaving cancels slow drift (thermal, noisy
   neighbors); min-of-N cancels one-off stalls.  Exit 1 on violation,
   or pass --skip-wall (e.g. on known-noisy runners) to print SKIP and
@@ -39,11 +42,9 @@ import time
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.machine import superinst  # noqa: E402
 from repro.machine.driver import CompileConfig, compile_source  # noqa: E402
 from repro.machine.models import MODELS  # noqa: E402
-from repro.machine.superinst import (  # noqa: E402
-    load_pgo, plan_from_profile, plan_from_pgo, save_pgo,
-)
 from repro.machine.vm import VM  # noqa: E402
 from repro.obs.vmprof import VMProfile  # noqa: E402
 from repro.postproc.sink import sink_program  # noqa: E402
@@ -66,24 +67,15 @@ def compile_workload(name: str):
                           CompileConfig.named(CONFIG, model)), model
 
 
-def make_profile(tmp_pgo: str) -> None:
-    """Profile one cfrac run and persist the pgo envelope the children
-    replay — the same artifact `repro.obs record --pgo-out` emits."""
-    compiled, model = compile_workload(WORKLOAD)
-    profile = VMProfile(tag=f"{WORKLOAD}@{CONFIG}/{MODEL}")
-    VM(compiled.asm, model, profile=profile).run()
-    save_pgo(profile.to_pgo(), tmp_pgo)
-
-
-def child_main(mode: str, pgo_path: str) -> int:
+def child_main(mode: str) -> int:
     """One timing sample: compile outside the clock, time only the
-    interpreter loop, print a JSON line."""
+    interpreter loop (fusion included), print a JSON line."""
     compiled, model = compile_workload(WORKLOAD)
-    plan = None
-    if mode == "pgo":
-        plan = plan_from_pgo(load_pgo(pgo_path))
+    if mode == "plain":
+        superinst.FUSE_AFTER = 0
+    else:
         sink_program(compiled.asm)
-    vm = VM(compiled.asm, model, superinst=plan)
+    vm = VM(compiled.asm, model)
     t0 = time.perf_counter()
     result = vm.run()
     wall = time.perf_counter() - t0
@@ -92,10 +84,9 @@ def child_main(mode: str, pgo_path: str) -> int:
     return 0
 
 
-def sample(mode: str, pgo_path: str) -> float:
+def sample(mode: str) -> float:
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", mode,
-         "--pgo-file", pgo_path],
+        [sys.executable, os.path.abspath(__file__), "--child", mode],
         capture_output=True, text=True, check=True)
     return float(json.loads(proc.stdout.splitlines()[-1])["wall_s"])
 
@@ -105,22 +96,23 @@ def check_identity() -> tuple[list[str], dict]:
     descriptions, measured counters for the record)."""
     mismatches: list[str] = []
     compiled, model = compile_workload(WORKLOAD)
-    profile = VMProfile()
-    base = VM(compiled.asm, model, profile=profile).run()
-    plan = plan_from_profile(profile)
+    base = VM(compiled.asm, model, profile=VMProfile()).run()
 
-    fused = VM(compiled.asm, model, superinst=plan).run()
+    fused_vm = VM(compiled.asm, model)
+    fused = fused_vm.run()
+    if fused_vm.fused_runs < 1:
+        mismatches.append(f"{WORKLOAD}: no run fused itself")
     if run_key(fused) != run_key(base):
         mismatches.append(
-            f"{WORKLOAD}: PGO-fused observables differ from plain: "
-            f"{run_key(fused)} != {run_key(base)}")
+            f"{WORKLOAD}: fused observables differ from the profiled "
+            f"run: {run_key(fused)} != {run_key(base)}")
 
     sunk_prog, _ = compile_workload(WORKLOAD)
     sink_stats = sink_program(sunk_prog.asm)
-    both = VM(sunk_prog.asm, model, superinst=plan).run()
+    both = VM(sunk_prog.asm, model).run()
     if (both.exit_code, both.output) != (base.exit_code, base.output):
         mismatches.append(
-            f"{WORKLOAD}: PGO+sink changed the answer: "
+            f"{WORKLOAD}: fused+sink changed the answer: "
             f"exit {both.exit_code} vs {base.exit_code}")
     if both.collections > base.collections:
         mismatches.append(
@@ -128,12 +120,11 @@ def check_identity() -> tuple[list[str], dict]:
             f"({base.collections} -> {both.collections})")
 
     counters = {
-        "plan_blocks": len(plan.blocks),
-        "plan_digest": plan.digest(),
+        "fused_runs": fused_vm.fused_runs,
         "base_cycles": base.cycles,
         "base_collections": base.collections,
-        "pgo_sink_cycles": both.cycles,
-        "pgo_sink_collections": both.collections,
+        "fused_sink_cycles": both.cycles,
+        "fused_sink_collections": both.collections,
         "cfrac_sink_stats": {"sunk": sink_stats.sunk,
                              "eliminated": sink_stats.eliminated,
                              "bytes_sunk": sink_stats.bytes_sunk},
@@ -179,34 +170,24 @@ def main(argv: list[str] | None = None) -> int:
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_vm2.json"))
     ap.add_argument("--label", default="")
-    ap.add_argument("--child", default=None, choices=("plain", "pgo"),
+    ap.add_argument("--child", default=None, choices=("plain", "fused"),
                     help=argparse.SUPPRESS)
-    ap.add_argument("--pgo-file", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        return child_main(args.child, args.pgo_file)
+        return child_main(args.child)
 
     mismatches, counters = check_identity()
     sink_failures, sink_counters = check_sink_payoff()
     counters.update(sink_counters)
 
     plain_times: list[float] = []
-    pgo_times: list[float] = []
+    fused_times: list[float] = []
     speedup = None
     if not args.skip_wall:
-        pgo_path = os.path.join(os.path.dirname(args.out),
-                                ".vm-pgo-gate.json")
-        make_profile(pgo_path)
-        try:
-            for _ in range(args.repeats):
-                plain_times.append(sample("plain", pgo_path))
-                pgo_times.append(sample("pgo", pgo_path))
-        finally:
-            try:
-                os.unlink(pgo_path)
-            except OSError:
-                pass
-        speedup = min(plain_times) / min(pgo_times)
+        for _ in range(args.repeats):
+            plain_times.append(sample("plain"))
+            fused_times.append(sample("fused"))
+        speedup = min(plain_times) / min(fused_times)
 
     record = {
         "schema": "repro-vm2-bench/1",
@@ -216,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         "model": MODEL,
         "repeats": args.repeats,
         "plain_wall_s": [round(t, 4) for t in plain_times],
-        "pgo_sink_wall_s": [round(t, 4) for t in pgo_times],
+        "fused_sink_wall_s": [round(t, 4) for t in fused_times],
         "speedup": round(speedup, 3) if speedup is not None else None,
         "identity_ok": not mismatches,
         **counters,
@@ -238,11 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     if speedup is not None and speedup < args.min_speedup:
         failures.append(f"speedup {speedup:.2f}x < "
                         f"{args.min_speedup:.1f}x "
-                        f"(plain min {min(plain_times):.3f}s, pgo+sink "
-                        f"min {min(pgo_times):.3f}s)")
+                        f"(plain min {min(plain_times):.3f}s, fused+sink "
+                        f"min {min(fused_times):.3f}s)")
     verdict = "FAIL" if failures else ("SKIP(wall)" if speedup is None
                                        else "OK")
-    wall_note = (f"{min(plain_times):.3f}s -> {min(pgo_times):.3f}s "
+    wall_note = (f"{min(plain_times):.3f}s -> {min(fused_times):.3f}s "
                  f"({speedup:.2f}x)" if speedup is not None
                  else "wall gate skipped")
     print(f"{verdict}: {WORKLOAD}@{CONFIG}/{MODEL} {wall_note}; "

@@ -43,7 +43,6 @@ from ..machine.vm import VM, RunResult
 if TYPE_CHECKING:  # heavy subsystems are imported lazily at call time
     from ..bench.harness import WorkloadRow
     from ..fuzz.campaign import CampaignResult
-    from ..machine.superinst import SuperinstPlan
 
 #: Heap poison pattern used by adversarial reruns (matches fuzz.oracle).
 POISON_BYTE = 0xDD
@@ -82,12 +81,10 @@ class Options:
     include_dirs: tuple[str, ...] = ()     # cpp search path
     workers: int = 1                       # bench()/fuzz() sharding
     cache_dir: str | None = None           # content-addressed cache root
-    gc_interval: int = 0                   # run(): force GC every N allocs
+    gc_interval: int = 0                   # run(): force GC every N insts
     poison: bool = False                   # run(): poison reclaimed objects
     max_instructions: int = 500_000_000    # run(): VM fuel
     annotate: AnnotateOptions | None = None  # fine-grained annotator knobs
-    pgo: str | None = None                 # vmprof-pgo profile path for
-                                           #   superinstruction fusion
     sink: bool = False                     # allocation-sinking postproc pass
 
     def __post_init__(self):
@@ -167,22 +164,12 @@ class Toolchain:
         compile cache is installed — see :meth:`session`)."""
         return compile_source(source, self.compile_config(config))
 
-    def superinst_plan(self) -> "SuperinstPlan | None":
-        """The fusion plan ``options.pgo`` names, or None.  Loaded and
-        validated lazily so a Toolchain without PGO never touches
-        disk."""
-        if self.options.pgo is None:
-            return None
-        from ..machine.superinst import load_pgo, plan_from_pgo
-        return plan_from_pgo(load_pgo(self.options.pgo))
-
     def execute(self, compiled: CompiledProgram, stdin: str = "",
                 entry: str = "main") -> RunResult:
         """Run an already-compiled program on this options' VM setup.
 
         With ``options.sink`` the allocation-sinking pass rewrites the
-        program in place first; with ``options.pgo`` the VM fuses hot
-        blocks from the named profile."""
+        program in place first."""
         if self.options.sink:
             from ..postproc.sink import sink_program
             sink_program(compiled.asm)
@@ -192,8 +179,7 @@ class Toolchain:
         vm = VM(compiled.asm, MODELS[self.options.model],
                 collector=collector,
                 gc_interval=self.options.gc_interval,
-                max_instructions=self.options.max_instructions,
-                superinst=self.superinst_plan())
+                max_instructions=self.options.max_instructions)
         vm.stdin = stdin
         try:
             return vm.run(entry)
@@ -214,8 +200,7 @@ class Toolchain:
         """The paper's benchmark matrix on this options' model, sharded
         across ``options.workers`` processes."""
         from ..bench.harness import CONFIG_ORDER, Harness
-        harness = Harness(self.options.model, pgo=self.superinst_plan(),
-                          sink=self.options.sink)
+        harness = Harness(self.options.model, sink=self.options.sink)
         return harness.run_all(workloads, configs or CONFIG_ORDER,
                                workers=self.options.workers)
 

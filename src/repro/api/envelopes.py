@@ -81,8 +81,6 @@ OBS_SENTINEL = _register("obs-sentinel", 1,
                          "repro.obs sentinel / benchmarks/check_sentinel.py")
 EXEC_BENCH = _register("exec-bench", 1,
                        "benchmarks/check_exec_cache.py (BENCH_exec.json)")
-VMPROF_PGO = _register("vmprof-pgo", 1,
-                       "repro.obs record --pgo-out / report --pgo")
 VM2_BENCH = _register("vm2-bench", 1,
                       "benchmarks/check_vm_pgo.py (BENCH_vm2.json)")
 SERVE_REQUEST = _register("serve-request", 1,

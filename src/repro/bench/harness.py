@@ -17,7 +17,6 @@ from ..exec.engine import run_sharded
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS, MachineModel
 from ..machine.vm import VM
-from ..machine.superinst import SuperinstPlan
 from ..obs import runtime as obs_runtime
 from ..obs.report import summarize
 from ..postproc import postprocess
@@ -45,12 +44,9 @@ class CellResult:
     # session tracer was enabled; None otherwise (telemetry is opt-in
     # and never perturbs the measured cycle counts).
     telemetry: dict | None = None
-    # PR 6 raw-speed knobs: digest of the superinstruction plan the VM
-    # ran under (None = unfused) and the allocation-sinking rewrite
-    # stats (None = pass not applied).  Both are opt-in and observable-
-    # count-neutral for pgo / count-changing for sink, so they salt the
-    # result-cache key whenever set.
-    pgo: str | None = None
+    # Allocation-sinking rewrite stats (None = pass not applied).  The
+    # pass is opt-in and changes counts, so it salts the result-cache
+    # key whenever set.
     sink_stats: SinkStats | None = None
 
 
@@ -80,21 +76,13 @@ class WorkloadRow:
 
 
 class Harness:
-    def __init__(self, model_key: str = "ss10",
-                 pgo: SuperinstPlan | None = None, sink: bool = False):
+    def __init__(self, model_key: str = "ss10", sink: bool = False):
         self.model_key = model_key
         self.model: MachineModel = MODELS[model_key]
-        # Raw-speed knobs, applied to every cell this harness runs: a
-        # superinstruction plan for the VM (observable counts stay
-        # bit-identical) and the allocation-sinking postproc pass
-        # (count-changing, like `postprocessed`).
-        self.pgo = pgo
+        # Applied to every cell this harness runs: the allocation-
+        # sinking postproc pass (count-changing, like `postprocessed`).
         self.sink = sink
         self._cache: dict[tuple, CellResult] = {}
-
-    @property
-    def _pgo_digest(self) -> str | None:
-        return self.pgo.digest() if self.pgo else None
 
     def run_cell(self, workload: str, config_name: str,
                  postprocessed: bool = False) -> CellResult:
@@ -106,12 +94,11 @@ class Harness:
         config = CompileConfig.named(config_name, self.model)
         # Content-addressed cell memoization: the VM is deterministic,
         # so an executed cell is a pure function of (source, config,
-        # stdin, postprocessed, pgo plan, sink) and can be replayed
-        # from disk bit-identically.
+        # stdin, postprocessed, sink) and can be replayed from disk
+        # bit-identically.
         rcache = exec_cache.active_cache("result")
         rkey = (rcache.key_for(source, config, stdin=spec.stdin,
-                               postprocessed=postprocessed,
-                               pgo=self._pgo_digest, sink=self.sink)
+                               postprocessed=postprocessed, sink=self.sink)
                 if rcache is not None else None)
         if rkey is not None:
             hit = rcache.get(rkey)
@@ -125,7 +112,7 @@ class Harness:
             compiled = compile_source(source, config)
             stats = postprocess(compiled.asm) if postprocessed else None
             sink_stats = sink_program(compiled.asm) if self.sink else None
-            vm = VM(compiled.asm, self.model, superinst=self.pgo)
+            vm = VM(compiled.asm, self.model)
             vm.stdin = spec.stdin
             try:
                 run = vm.run()
@@ -139,7 +126,7 @@ class Harness:
             code_size=compiled.asm.code_size(), exit_code=run.exit_code,
             collections=run.collections, output=run.output,
             postprocessed=postprocessed, peephole_stats=stats,
-            telemetry=telemetry, pgo=self._pgo_digest, sink_stats=sink_stats)
+            telemetry=telemetry, sink_stats=sink_stats)
         self._cache[key] = cell
         if rkey is not None:
             rcache.put(rkey, cell)
@@ -165,8 +152,7 @@ class Harness:
         names = tuple(workloads or tuple(WORKLOADS))
         if workers <= 1:
             return {name: self.run_workload(name, configs) for name in names}
-        payloads = [(self.model_key, name, config, False,
-                     self.pgo, self.sink)
+        payloads = [(self.model_key, name, config, False, self.sink)
                     for name in names for config in configs]
         merged = run_sharded(payloads, _cell_worker, workers=workers,
                              label="bench").raise_on_failure()
@@ -201,8 +187,7 @@ class Harness:
             return {name: self.run_postproc_row(name) for name in names}
         variants = (("O", False), ("O_safe", False), ("O_safe_pp", True))
         payloads = [(self.model_key, name,
-                     "O_safe" if post else config, post,
-                     self.pgo, self.sink)
+                     "O_safe" if post else config, post, self.sink)
                     for name in names for config, post in variants]
         merged = run_sharded(payloads, _cell_worker, workers=workers,
                              label="bench").raise_on_failure()
@@ -221,11 +206,8 @@ class Harness:
 def _cell_worker(payload: tuple) -> CellResult:
     """Engine task: one benchmark cell.  A fresh per-process Harness is
     correct because cells are independent; cross-process reuse comes
-    from the content-addressed caches, not in-memory state.  Payloads
-    are 4-tuples from older callers or 6-tuples carrying the pgo plan
-    and sink flag; unpack both shapes."""
-    model_key, workload, config_name, postprocessed = payload[:4]
-    pgo = payload[4] if len(payload) > 4 else None
-    sink = bool(payload[5]) if len(payload) > 5 else False
-    return Harness(model_key, pgo=pgo, sink=sink).run_cell(
+    from the content-addressed caches, not in-memory state.  A payload
+    is (model, workload, config, postprocessed, sink)."""
+    model_key, workload, config_name, postprocessed, sink = payload
+    return Harness(model_key, sink=sink).run_cell(
         workload, config_name, postprocessed)

@@ -7,20 +7,17 @@
         Source-safety diagnostics only.
 
     python -m repro cc [--config O0|O|O_safe|g|g_checked] [--model ss2|ss10|p90]
-                       [--postproc] [--sink] [--pgo FILE] [--gc-interval N]
+                       [--postproc] [--sink] [--gc-interval N]
                        [--stdin FILE] [--dump-asm] file.c
         Compile and execute on the simulated machine; print the program
         output and a run summary.  ``--sink`` runs the escape-analysis
-        allocation-sinking pass; ``--pgo`` fuses hot blocks from a
-        repro-vmprof-pgo/1 profile into superinstructions.
+        allocation-sinking pass; ``--gc-interval N`` collects
+        asynchronously every N instructions.
 
     python -m repro bench [--model ss10] [--workloads w1,w2,...]
-                          [--workers N] [--cache-dir DIR]
-                          [--pgo FILE] [--sink]
+                          [--workers N] [--cache-dir DIR] [--sink]
         Print the slowdown table for one machine model; ``--workers``
         shards the cells across processes (byte-identical table).
-        ``--pgo`` replays a persisted profile deterministically
-        (observable counts stay bit-identical to the unfused run).
 
     python -m repro cache stats|clear|verify [--cache-dir DIR]
         Inspect / wipe / checksum-verify the content-addressed caches.
@@ -123,8 +120,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_cc(args: argparse.Namespace) -> int:
     source = _read(args.file)
     tc = Toolchain(config=args.config, model=args.model,
-                   gc_interval=args.gc_interval, poison=args.poison,
-                   pgo=args.pgo)
+                   gc_interval=args.gc_interval, poison=args.poison)
     compiled = tc.compile(source)
     if args.postproc:
         stats = postprocess(compiled.asm)
@@ -156,8 +152,7 @@ def cmd_cc(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    tc = Toolchain(model=args.model, workers=args.workers,
-                   pgo=args.pgo, sink=args.sink)
+    tc = Toolchain(model=args.model, workers=args.workers, sink=args.sink)
     workloads = tuple(args.workloads.split(",")) if args.workloads else None
     rows = tc.bench(workloads)
     envelope = bench_envelope(rows, args.model)
@@ -203,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--postproc", action="store_true")
     p.add_argument("--sink", action="store_true",
                    help="run the escape-analysis allocation-sinking pass")
-    p.add_argument("--pgo", default=None, metavar="FILE",
-                   help="fuse hot blocks from a repro-vmprof-pgo/1 profile")
-    p.add_argument("--gc-interval", type=int, default=0)
+    p.add_argument("--gc-interval", type=int, default=0, metavar="N",
+                   help="force a collection every N instructions "
+                        "(default 0: none forced)")
     p.add_argument("--poison", action="store_true")
     p.add_argument("--stdin")
     p.add_argument("--dump-asm", action="store_true")
@@ -220,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sink", action="store_true",
                    help="run the escape-analysis allocation-sinking pass "
                         "on every cell")
-    p.add_argument("--pgo", default=None, metavar="FILE",
-                   help="replay a repro-vmprof-pgo/1 profile: fuse its "
-                        "hot blocks into superinstructions")
     add_report_flags(p, json_schema="repro-bench/1")
     add_obs_flags(p)
     add_cache_flags(p)

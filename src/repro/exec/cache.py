@@ -21,12 +21,12 @@ Key anatomy — the SHA-256 of a canonical JSON object::
 
 and for result-cache keys additionally the run parameters
 ``{compile_key, stdin, gc_interval, poison, postprocessed, entry,
-max_instructions}`` plus, when active, ``pgo`` (the superinstruction
-plan digest) and ``sink`` (allocation sinking).  Any component changing — one config flag, one
-optimizer pass, the salt — produces a different address, so
-"invalidation" is structural: stale entries are simply never addressed
-again.  Sources that pull in out-of-band bytes (``#include``) are not
-cacheable, since the key could not see the included text change.
+max_instructions}`` plus, when active, ``sink`` (allocation sinking).
+Any component changing — one config flag, one optimizer pass, the
+salt — produces a different address, so "invalidation" is structural:
+stale entries are simply never addressed again.  Sources that pull in
+out-of-band bytes (``#include``) are not cacheable, since the key could
+not see the included text change.
 
 Entry format: ``<root>/<key[:2]>/<key>.bin`` containing an 8-byte magic,
 the SHA-256 of the payload, then the pickled payload.  Reads verify the
@@ -69,8 +69,8 @@ from ..resil import inject as resil_inject
 
 # Bump whenever any pipeline stage may produce different output for the
 # same (source, config): it salts every key, orphaning old entries.
-# /2: superinstruction fusion + allocation sinking (PR 6) changed what a
-# "cell" can contain, and cells gained sink/pgo fields.
+# /2: allocation sinking changed what a "cell" can contain, and cells
+# gained a sink field.
 CODE_VERSION = envelopes.EXEC_CACHE
 
 _MAGIC = b"RPROCC01"
@@ -397,7 +397,7 @@ class ResultCache(_DiskCache):
                 gc_interval: int = 0, poison: bool = False,
                 postprocessed: bool = False, entry: str = "main",
                 max_instructions: int = 500_000_000,
-                pgo: str | None = None, sink: bool = False) -> str | None:
+                sink: bool = False) -> str | None:
         fp = config_fingerprint(config)
         if fp is None or "#include" in source:
             return None
@@ -406,12 +406,8 @@ class ResultCache(_DiskCache):
             "gc_interval": gc_interval, "poison": poison,
             "postprocessed": postprocessed, "entry": entry,
             "max_instructions": max_instructions}
-        # PGO/sinking salt the key only when active, so every key minted
-        # before these knobs existed still addresses the same entry —
-        # and a PGO'd cell can never alias its unPGO'd twin (the plan
-        # digest folds in the exact hot-block set).
-        if pgo is not None:
-            body["pgo"] = pgo
+        # Sinking salts the key only when active, so every key minted
+        # before the knob existed still addresses the same entry.
         if sink:
             body["sink"] = True
         return self._key(body)

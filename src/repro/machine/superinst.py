@@ -1,16 +1,15 @@
-"""Profile-guided superinstructions: fuse hot straight-line MInst
-sequences into single dispatched closures.
+"""Superinstructions: fuse hot straight-line MInst sequences into
+single dispatched closures.
 
 The threaded-code interpreter (``vm.py``) pays a fixed per-instruction
 toll: one dict-free loop iteration (count, budget check, dispatch) plus
-one closure call per MInst.  For the hot inner blocks that vmprof
-identifies, that toll dominates — the arithmetic inside the closures is
-cheap compared to the dispatch around them.  A *superinstruction*
-collapses a straight-line run of fusable instructions within one hot
-basic block into a single ``exec``-compiled closure: registers are
-cached in Python locals across the run, loads/stores keep their
-page-cache fast path inline, and the loop dispatches once for the whole
-run.
+one closure call per MInst.  In hot inner blocks that toll dominates —
+the arithmetic inside the closures is cheap compared to the dispatch
+around them.  A *superinstruction* collapses a straight-line run of
+fusable instructions into a single ``exec``-compiled closure: registers
+are cached in Python locals across the run, loads/stores keep their
+page-cache fast path inline, and the loop dispatches once for the
+whole run.
 
 A run may contain conditional branches as *early exits*: the fused
 closure evaluates the condition inline, and on a taken branch writes
@@ -35,140 +34,62 @@ Counts stay bit-identical by construction:
   :class:`~repro.machine.vm.VMError` escapes;
 * runs never span branch landing sites (the instruction after a
   *targeted* label — one some branch actually names), so control can
-  never jump into the middle of a fused region.  Fall-through-only
-  labels are crossed freely as zero-cost constituents, which is what
-  lets a whole loop (header test, body, step block, backward jump)
-  fuse into one closure whose backward branch iterates *inside* the
-  closure with registers still cached in locals;
+  never jump into the middle of a fused region; branches land past
+  their label, so a run may end with a targeted label.
+  Fall-through-only labels are crossed freely as zero-cost
+  constituents, which is what lets a whole loop (header test, body,
+  step block, backward jump) fuse into one closure whose backward
+  branch iterates *inside* the closure with registers still cached in
+  locals;
 * fusion is disabled entirely when ``gc_interval`` is nonzero: the
   asynchronous-collection trigger must observe every instruction
   boundary, and batching counter updates would shift which instructions
   collections land on.
 
-Selection is profile-guided: a ``repro-vmprof-pgo/1`` envelope (emitted
-by ``repro.obs`` from a profiled run, or by ``VMProfile.to_pgo``) names
-each basic block's cycle share; the plan takes the top-N blocks above a
-minimum share.  The plan's digest salts result-cache keys so PGO'd runs
-never alias unPGO'd cache entries.
+Selection is by entry count: every fusable run starts as its plain
+closures behind a counting leader (:func:`install_leaders`), and the
+run's :data:`FUSE_AFTER`-th entry compiles it, installs the fused
+closure in the leader's slot and dispatches it at the same pc.  Cold
+code never pays for a compile, and no profile is needed.  Fusion is
+also off while a :class:`~repro.obs.vmprof.VMProfile` is attached: the
+profile's per-instruction shims are a diagnostic mode, and a fused run
+would report the same counts anyway.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import struct
+from typing import Any, Callable
 
 from ..gc.memory import MemoryFault
-from ..obs.vmprof import PGO_SCHEMA
-from .asm import ALU_OPS, MInst, UNARY_OPS
+from .asm import ALU_OPS, BRANCH_OPS, MInst, UNARY_OPS
 from .vm import ALU_FUNCS, UNARY_FUNCS, VMError, _MASK, _RET_PC
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
 MIN_RUN = 2
 
-# Default selection knobs: top-N blocks by cycles, ignoring blocks
-# below a minimum share of total cycles (cold blocks would bloat
-# closure-compile time for no dispatch savings).
-DEFAULT_TOP = 64
-DEFAULT_MIN_SHARE = 0.0005
+# A run fuses on its FUSE_AFTER-th entry; 0 turns fusion off.  Most
+# code is cold and a compile is dear (0.7-1 ms a run on a Xeon under
+# CPython 3.11), so the count must keep cold runs plain.  Census of
+# fuzz-oracle passes: seed 1's 288 VMs without forced collections hold
+# 10,289 runs, 9,020 of them entered at least once; over seeds 1-3,
+# 18-21 runs are entered 48 times and none 64 times.  So at 64 the
+# fuzz oracle compiles nothing, while on cfrac@O 92 runs fuse and the
+# execution loop dispatches 257k times instead of 1,570k (618k at 1024).
+FUSE_AFTER = 64
 
 
-# -- the persisted profile ---------------------------------------------------
-
-
-def load_pgo(path: str) -> dict:
-    """Read and validate a ``repro-vmprof-pgo/1`` envelope."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != PGO_SCHEMA:
-        raise ValueError(f"not a {PGO_SCHEMA} envelope: "
-                         f"schema={schema!r} in {path}")
-    return doc
-
-
-def save_pgo(doc: dict, path: str) -> None:
-    if doc.get("schema") != PGO_SCHEMA:
-        raise ValueError(f"refusing to save non-{PGO_SCHEMA} document")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-# -- the plan ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuperinstPlan:
-    """The fusion plan: which (function, block) pairs are hot.  Frozen
-    and hashable so it can ride in cache keys and worker payloads."""
-
-    blocks: frozenset
-    source: str = ""
-
-    def digest(self) -> str:
-        """Stable identity of the plan, used to salt result-cache keys
-        (a PGO'd run must never alias an unPGO'd cache entry)."""
-        blob = json.dumps(sorted(self.blocks), separators=(",", ":"))
-        return "pgo-" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def __bool__(self) -> bool:
-        return bool(self.blocks)
-
-
-def plan_from_pgo(doc: dict, top: int = DEFAULT_TOP,
-                  min_share: float = DEFAULT_MIN_SHARE) -> SuperinstPlan:
-    """Select the top-N hottest blocks from a pgo envelope.  Selection
-    is deterministic: cycles descending, then (function, block) name."""
-    total = int(doc.get("total_cycles") or 0)
-    rows = [(str(r["function"]), str(r["block"]),
-             int(r.get("cycles", 0)))
-            for r in doc.get("blocks", ())]
-    rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-    floor = total * min_share
-    picked = frozenset((f, b) for f, b, cyc in rows[:top] if cyc >= floor)
-    return SuperinstPlan(picked, source=str(doc.get("tag", "")))
-
-
-def plan_from_profile(profile, top: int = DEFAULT_TOP,
-                      min_share: float = DEFAULT_MIN_SHARE) -> SuperinstPlan:
-    return plan_from_pgo(profile.to_pgo(), top=top, min_share=min_share)
-
-
-# -- fusion ------------------------------------------------------------------
-
-
-@dataclass
-class FusedRun:
-    """One installed superinstruction: insts[start..end] of a function."""
-    start: int
-    end: int
-    block: str
-    n_insts: int
-    cycles: int
-
-
-@dataclass
-class SuperinstStats:
-    runs: int = 0           # fused sequences installed
-    instructions: int = 0   # constituent MInsts covered
-    per_function: dict = field(default_factory=dict)
-
-    def add(self, name: str, fused: Iterable[FusedRun]) -> None:
-        for r in fused:
-            self.runs += 1
-            self.instructions += r.n_insts
-            self.per_function[name] = self.per_function.get(name, 0) + 1
-
-
-# Ops fusable with no per-op state beyond operands.  Calls are excluded
-# (a collection may run inside them); labels are excluded (they delimit
-# blocks and their successor is a branch target).  Conditional branches
-# fuse as early exits; jmp/ret terminate a run.
+# Straight-line ops always fuse and never end a run.  Calls never fuse
+# (a collection may run inside them).  ``_find_runs`` decides the rest:
+# a targeted label's successor is a branch landing site; conditional
+# branches fuse as early exits and jmp/ret end a run; branches and
+# ``la`` fuse only when their symbol resolves (an undefined one must
+# keep its raise-on-execute closure).
 _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
+_STRAIGHT_OPS = frozenset((*_NO_CODE_OPS, "li", "mov", "ld", "st",
+                           *ALU_OPS, *UNARY_OPS))
 
 # ALU/unary ops whose semantics are inlined as expressions; the rest
 # (div/mod/signed compares/shifts with sign handling) call the bound
@@ -197,32 +118,24 @@ _INLINE_UNARY = {
     "zext16": "({a}) & 65535",
 }
 
-
-def _fusable(vm, inst: MInst, labels: dict[str, int]) -> bool:
-    op = inst.op
-    if op in _NO_CODE_OPS or op == "li" or op == "mov":
-        return True
-    if op in ALU_OPS or op in UNARY_OPS:
-        return True
-    if op == "ld" or op == "st" or op == "ret":
-        return True
-    if op == "bz" or op == "bnz" or op == "jmp":
-        # Only with a resolvable target: an undefined label must keep
-        # its raise-on-execute closure.
-        return inst.symbol in labels
-    if op == "la":
-        # Likewise only when the symbol resolves.
-        return (inst.symbol in vm.global_addr
-                or inst.symbol in vm.func_addr)
-    return False
+# Little-endian codecs for the inline page fast path of ld/st, keyed
+# by (width, signed) and width.  ``unpack_from`` reads the page in place:
+# a word load costs 91 ns against 232 ns for slicing the page and
+# calling ``int.from_bytes`` (CPython 3.11 on a Xeon).
+_UNPACK = {(w, signed): struct.Struct(fmt).unpack_from
+           for w, signed, fmt in ((4, False, "<I"), (4, True, "<I"),
+                                  (2, False, "<H"), (2, True, "<h"),
+                                  (1, False, "<B"), (1, True, "<b"))}
+_PACK = {w: struct.Struct(fmt).pack_into
+         for w, fmt in ((4, "<I"), (2, "<H"), (1, "<B"))}
 
 
-def _find_runs(vm, name: str, insts: list[MInst],
-               labels: dict[str, int], plan: SuperinstPlan):
-    """Maximal fusable runs starting in hot blocks: straight-line code
-    plus conditional-branch early exits, terminated by calls, jmp, ret,
-    or anything unfusable — and never containing a branch-entry point
-    strictly inside.
+def _find_runs(vm, insts: list[MInst],
+               labels: dict[str, int]) -> dict[int, int]:
+    """Maximal fusable runs of one function, as ``{start: end}``:
+    straight-line code plus conditional-branch early exits, terminated
+    by calls, jmp, ret, or anything unfusable — and never containing a
+    branch-entry point strictly inside.
 
     Only *targeted* labels (those some branch names) are entry points;
     a fall-through-only label is reachable solely from the instruction
@@ -230,61 +143,85 @@ def _find_runs(vm, name: str, insts: list[MInst],
     loop — header test, body, step block, backward jump — fuse into a
     single closure: the header's label is targeted (the backward jump
     names it), so the run starts right after it, and the backward jump
-    then targets the run's own start and loops in place.  An open run
-    also continues through the cold fall-through stretch after such a
-    label: it executes exactly as often as the hot code above it."""
-    hot = plan.blocks
-    targeted = {inst.symbol for inst in insts
-                if inst.op in ("bz", "bnz", "jmp")}
-    runs: list[tuple[int, int, str]] = []
-    run_block = "entry"
-    cur_block = "entry"
+    then targets the run's own start and loops in place."""
+    targeted = {inst.symbol for inst in insts if inst.op in BRANCH_OPS}
+    global_addr = vm.global_addr
+    func_addr = vm.func_addr
+    runs: dict[int, int] = {}
     start = -1
-
-    def flush(stop: int) -> None:
-        if start >= 0 and stop - start >= MIN_RUN:
-            runs.append((start, stop - 1, run_block))
-
     for i, inst in enumerate(insts):
-        if inst.op == "label":
-            if inst.symbol in targeted:
-                # Branch landing site: the next instruction is an entry
-                # point, so no run may cross it.  (Untargeted labels
-                # fall through into the run and fuse as zero-cost
-                # constituents.)
-                flush(i)
-                start = -1
-            cur_block = inst.symbol
-            continue
-        if not _fusable(vm, inst, labels):
-            flush(i)
-            start = -1
-            continue
-        if start < 0:
-            if (name, cur_block) in hot:
+        op = inst.op
+        if op in _STRAIGHT_OPS:
+            if start < 0:
                 start = i
-                run_block = cur_block
             continue
-        if inst.op == "jmp" or inst.op == "ret":
-            # Control unconditionally leaves: close the run here
-            # (anything up to the next label is unreachable).
-            flush(i + 1)
-            start = -1
-    flush(len(insts))
+        if op == "label":
+            # Untargeted labels fuse as zero-cost constituents.  After a
+            # targeted one (a landing site) the next instruction is an
+            # entry point, so no run may cross it; but branches land
+            # past the label, so a run may end with it.
+            if inst.symbol in targeted:
+                if start >= 0 and i + 1 - start >= MIN_RUN:
+                    runs[start] = i
+                start = -1
+            continue
+        if (op == "ret"
+                or (op in BRANCH_OPS and inst.symbol in labels)
+                or (op == "la" and (inst.symbol in global_addr
+                                    or inst.symbol in func_addr))):
+            if start < 0:
+                start = i
+            elif op == "jmp" or op == "ret":
+                # Control unconditionally leaves: close the run here
+                # (anything up to the next label is unreachable).
+                if i + 1 - start >= MIN_RUN:
+                    runs[start] = i
+                start = -1
+            continue
+        if start >= 0 and i - start >= MIN_RUN:
+            runs[start] = i - 1
+        start = -1
+    if start >= 0 and len(insts) - start >= MIN_RUN:
+        runs[start] = len(insts) - 1
     return runs
 
 
+def install_leaders(vm, insts: list[MInst], labels: dict[str, int],
+                    ops: list) -> None:
+    """Put a counting leader in front of every fusable run of one
+    function's closure list ``ops``.  The run executes as its plain
+    closures until its :data:`FUSE_AFTER`-th entry, which compiles it,
+    installs the fused closure at ``ops[start]`` and dispatches it
+    there (the execution loop has already counted that instruction,
+    as it does before every dispatch)."""
+    runs = _find_runs(vm, insts, labels)
+    if not runs:
+        return
+    plain = ops[:]
+    entries = [0] * len(ops)
+
+    def leader(pc):
+        n = entries[pc] + 1
+        if n < FUSE_AFTER:
+            entries[pc] = n
+            return plain[pc](pc)
+        fused = ops[pc] = _compile_run(vm, insts, pc, runs[pc], labels)
+        vm.fused_runs += 1
+        return fused(pc)
+
+    for start in runs:
+        ops[start] = leader
+
+
 def _compile_run(vm, insts: list[MInst], start: int, end: int,
-                 labels: dict[str, int]) -> tuple:
-    """exec-compile insts[start..end] into one closure.  Returns
-    (closure, n_insts, cycles)."""
+                 labels: dict[str, int]) -> Callable[[int], int]:
+    """exec-compile insts[start..end] into one closure."""
     model = vm.model
     env: dict[str, Any] = {
         "_R": vm.regs,
         "_ST": vm._st,
         "_PG": vm.memory._pages,
         "_ERR": VMError,
-        "_FB": int.from_bytes,
         "_LD": _make_slow_load(vm),
         "_STO": _make_slow_store(vm),
     }
@@ -350,7 +287,10 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             rd(reg)
 
     budget = vm.max_instructions
-    guarded = -1  # additional-instruction count already budget-checked
+    # Additional-instruction count already budget-checked.  The leader
+    # itself is checked before every entry: by the execution loop, or
+    # by a self-loop's backward branch.
+    guarded = 0
 
     # Self-loop runs keep the instruction/cycle counters in locals for
     # the closure's lifetime and settle ``_ST`` only when leaving: no
@@ -488,13 +428,14 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                 body.append(f"        {dst} = _LD(_a{t}, 4, False)")
                 body.append(f"    else:")
                 body.append(f"        {dst} = "
-                            f"_FB(_p{t}[_o{t}:_o{t} + 4], 'little')")
+                            f"{bind(_UNPACK[4, False])}(_p{t}, _o{t})[0]")
             else:
                 body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
                 body.append(f"        {dst} = _LD(_a{t}, {w}, {inst.signed})")
                 body.append(f"    else:")
-                body.append(f"        {dst} = _FB(_p{t}[_o{t}:_o{t} + {w}], "
-                            f"'little', signed={inst.signed}) & 4294967295")
+                load = bind(_UNPACK[w, bool(inst.signed)])
+                body.append(f"        {dst} = {load}(_p{t}, _o{t})[0]"
+                            + (" & 4294967295" if inst.signed else ""))
         elif op == "st":
             val = rd(inst.rd)
             base = rd(inst.rs1)
@@ -508,12 +449,11 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
             body.append(f"        _STO(_a{t}, {val}, {w})")
             body.append(f"    else:")
-            body.append(f"        _p{t}[_o{t}:_o{t} + {w}] = "
-                        f"(({val}) & {vmask}).to_bytes({w}, 'little')")
-        else:  # pragma: no cover - guarded by _fusable
+            body.append(f"        {bind(_PACK[w])}(_p{t}, _o{t}, "
+                        f"({val}) & {vmask})")
+        else:  # pragma: no cover - guarded by _find_runs
             raise VMError(f"cannot fuse {op!r}")
 
-    n_insts = end - start + 1
     if insts[end].op != "jmp" and insts[end].op != "ret":
         emit_exit(end, 0, end + 1, " " * 4)
     lines = ["def _super(pc):"]
@@ -523,7 +463,9 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     code = compile("\n".join(lines), f"<superinst:{start}-{end}>", "exec")
     ns = dict(env)
     exec(code, ns)
-    return ns["_super"], n_insts, cycles
+    # Take the function out of its own globals: left there, the pair is
+    # a reference cycle that only Python's cyclic collector frees.
+    return ns.pop("_super")
 
 
 def _make_slow_load(vm):
@@ -546,17 +488,3 @@ def _make_slow_store(vm):
         except MemoryFault:
             raise VMError(f"store fault at 0x{a:08x}") from None
     return _st
-
-
-def fuse_function(vm, name: str, insts: list[MInst],
-                  labels: dict[str, int], ops: list,
-                  plan: SuperinstPlan) -> list[FusedRun]:
-    """Install fused closures for hot runs of ``name`` in-place into the
-    compiled closure list ``ops``; returns the installed runs (the
-    profiler uses them to attribute fused cycles back to constituents)."""
-    fused: list[FusedRun] = []
-    for start, end, block in _find_runs(vm, name, insts, labels, plan):
-        closure, n_insts, cycles = _compile_run(vm, insts, start, end, labels)
-        ops[start] = closure
-        fused.append(FusedRun(start, end, block, n_insts, cycles))
-    return fused

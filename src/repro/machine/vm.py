@@ -19,6 +19,10 @@ instruction accounting.  Counts are identical to a naive
 decode-per-instruction loop — the benchmark tables depend on exact
 cycle and instruction totals — only the Python-level interpretation
 overhead changes.
+
+Hot code goes one step further: a straight-line run of closures that
+is entered often enough is replaced by one ``exec``-compiled
+superinstruction with the same counts (``machine/superinst.py``).
 """
 
 from __future__ import annotations
@@ -131,19 +135,13 @@ class VM:
                  collector: Collector | None = None,
                  gc_interval: int = 0, stack_size: int = 1 << 20,
                  max_instructions: int = 500_000_000,
-                 profile: VMProfile | None = None,
-                 superinst=None):
+                 profile: VMProfile | None = None):
         self.program = program
         self.model = model
-        # Optional profile-guided fusion plan (machine.superinst
-        # .SuperinstPlan); applied at closure-compile time below.
-        self.superinst = superinst
-        self.superinst_stats = None
         self.gc = collector if collector is not None else Collector()
         # Hot-spot profiling is strictly opt-in: either an explicit
         # profile or the process-wide sink (``repro.obs`` --profile).
-        # When None, the compiled closures below are the plain ones —
-        # the interpreter fast path is untouched.
+        # When None, the compiled closures carry no attribution shims.
         self._profile = (profile if profile is not None
                          else obs_runtime.session_profile())
         self.memory: Memory = self.gc.memory
@@ -237,28 +235,27 @@ class VM:
 
     def _compile_all(self) -> None:
         self._ops: dict[str, list] = {}
-        fuse = None
-        plan = self.superinst
-        # Fusion is incompatible with the asynchronous-collection
-        # trigger: gc_interval must observe every instruction boundary,
-        # so a nonzero interval disables superinstructions outright
-        # rather than shifting where collections land.
-        if plan is not None and plan.blocks and not self.gc_interval:
-            from .superinst import SuperinstStats, fuse_function
-            self.superinst_stats = SuperinstStats()
-            fuse = fuse_function
+        # Superinstructions installed so far: every fusable run fuses
+        # itself on its FUSE_AFTER-th entry (machine.superinst).
+        # Fusion batches counter updates, so it stays off when
+        # gc_interval must observe every instruction boundary, and
+        # when a profile wraps every instruction for attribution.
+        self.fused_runs = 0
+        install = None
+        if not self.gc_interval and self._profile is None:
+            from . import superinst
+            if superinst.FUSE_AFTER:
+                install = superinst.install_leaders
         for name, insts in self.code.items():
             ops = self._compile_function(insts, self.labels[name])
-            fused = ()
-            if fuse is not None:
-                fused = fuse(self, name, insts, self.labels[name], ops, plan)
-                self.superinst_stats.add(name, fused)
-            if self._profile is not None:
-                ops = self._wrap_profiled(name, insts, ops, fused)
+            if install is not None:
+                install(self, insts, self.labels[name], ops)
+            elif self._profile is not None:
+                ops = self._wrap_profiled(name, insts, ops)
             self._ops[name] = ops
 
-    def _wrap_profiled(self, name: str, insts: list[MInst], ops: list,
-                       fused=()) -> list:
+    def _wrap_profiled(self, name: str, insts: list[MInst],
+                       ops: list) -> list:
         """Wrap each compiled closure with a cycle-attribution shim (see
         ``obs.vmprof`` for the attribution rules).  The shims only read
         the shared counters, so instruction/cycle totals are identical
@@ -279,31 +276,10 @@ class VM:
             block_of.append(block)
 
         fcell = prof.func_cell(name)
-        fused_at = {r.start: r for r in fused}
         wrapped: list = []
         for i, (inst, op) in enumerate(zip(insts, ops)):
             bcell = prof.block_cell(name, block_of[i])
-            run = fused_at.get(i)
-            if run is not None:
-                # Superinstruction: measure the counter deltas of the
-                # whole run (early exits make both dynamic) and credit
-                # them to the run's function and block — the fused
-                # closure settles counters exactly as the constituents
-                # would, so the profiler invariants survive fusion.
-                # The loop counted the leader before dispatch; add it.
-
-                def w(pc, _op=op, _f=fcell, _b=bcell):
-                    i0 = st[0]
-                    c0 = st[1]
-                    npc = _op(pc)
-                    dn = st[0] - i0 + 1
-                    d = st[1] - c0
-                    _f[0] += d
-                    _f[1] += dn
-                    _b[0] += d
-                    _b[1] += dn
-                    return npc
-            elif inst.op == "call" and inst.symbol not in BUILTINS:
+            if inst.op == "call" and inst.symbol not in BUILTINS:
                 # Compiled callee runs *inside* op(): attribute only the
                 # static call cost here; the callee's shims do the rest.
                 ccell = prof.func_cell(inst.symbol)

@@ -9,15 +9,8 @@
         Same for an arbitrary C file; also export a Chrome trace for
         chrome://tracing / Perfetto.
 
-    python -m repro.obs record --workload cfrac --config O --pgo-out cfrac.pgo.json
-        Also persist the machine-readable per-block profile as a
-        ``repro-vmprof-pgo/1`` envelope — the input to superinstruction
-        fusion (``repro bench --pgo`` / ``repro cc --pgo``).
-
-    python -m repro.obs report obs-trace.jsonl [--json] [--pgo FILE]
-        Re-render the reports from a recorded trace; ``--pgo`` extracts
-        the embedded ``vm.profile`` instants into the same pgo envelope
-        (profiled runs embed one per recording).
+    python -m repro.obs report obs-trace.jsonl [--json]
+        Re-render the reports from a recorded trace.
 
     python -m repro.obs trajectory --workload cfrac --out BENCH_obs.json
         Measure every config as the sentinel does (untraced, min of 3
@@ -53,7 +46,6 @@ from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY_SCHEMA,
                        _measure, default_trajectories, render_verdict,
                        run_sentinel, validate_trajectories)
 from .tracer import load_jsonl
-from .vmprof import PGO_SCHEMA, pgo_from_profile_dict
 from ..gc.collector import Collector, GCCheckError
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
@@ -99,8 +91,8 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
         tracer.instant("gc.stats", **collector.stats.to_dict())
         tracer.instant("obs.metrics", metrics=metrics.to_dict())
         if profile is not None:
-            # Embed the full per-block profile so a later `report --pgo`
-            # can regenerate the fusion envelope from the trace alone.
+            # Embed the full per-block profile, so the trace alone
+            # carries the run's hot spots.
             tracer.instant("vm.profile", profile=profile.to_dict())
     finally:
         runtime.reset()
@@ -135,11 +127,6 @@ def cmd_record(args: argparse.Namespace) -> int:
         metrics.write_jsonl(args.metrics_out, append=False)
     if args.prom:
         metrics.write_prometheus(args.prom)
-    if args.pgo_out:
-        if profile is None:
-            raise SystemExit("error: --pgo-out needs profiling "
-                             "(drop --no-profile)")
-        _write_pgo(profile.to_pgo(), args.pgo_out, quiet=args.quiet)
     summary = summarize(tracer.events, profile, top=args.top,
                         metrics=metrics)
     summary["run"] = {
@@ -167,52 +154,8 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_pgo(doc: dict, path: str, quiet: bool = False) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    if not quiet:
-        print(f"pgo profile: {path} ({len(doc['blocks'])} blocks, "
-              f"{doc['total_cycles']} cycles)")
-
-
-def _merged_pgo_from_events(events: list[dict]) -> dict:
-    """The pgo envelope for a trace: its embedded ``vm.profile``
-    instants merged (several recordings may share one trace file) —
-    per-(function, block) cycles/instructions summed, hottest first."""
-    dicts = [e["args"]["profile"] for e in events
-             if e.get("name") == "vm.profile"
-             and isinstance(e.get("args", {}).get("profile"), dict)]
-    if not dicts:
-        raise SystemExit("error: trace has no vm.profile instants "
-                         "(record with profiling enabled)")
-    acc: dict[tuple, list[int]] = {}
-    runs = total_cycles = total_instructions = 0
-    tag = ""
-    for d in dicts:
-        tag = tag or str(d.get("tag", ""))
-        runs += int(d.get("runs", 0))
-        total_cycles += int(d.get("total_cycles", 0))
-        total_instructions += int(d.get("total_instructions", 0))
-        for b in d.get("blocks", ()):
-            cell = acc.setdefault((str(b["function"]), str(b["block"])),
-                                  [0, 0])
-            cell[0] += int(b.get("cycles", 0))
-            cell[1] += int(b.get("instructions", 0))
-    blocks = [{"function": f, "block": blk, "cycles": cyc,
-               "instructions": ins}
-              for (f, blk), (cyc, ins) in acc.items()]
-    blocks.sort(key=lambda b: (-b["cycles"], b["function"], b["block"]))
-    return pgo_from_profile_dict({
-        "tag": tag, "runs": runs, "total_cycles": total_cycles,
-        "total_instructions": total_instructions, "blocks": blocks})
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     events = load_jsonl(args.trace)
-    if args.pgo:
-        _write_pgo(_merged_pgo_from_events(events), args.pgo,
-                   quiet=args.json)
     summary = summarize(events, top=args.top)
     if args.json:
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
@@ -352,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export a chrome://tracing JSON trace")
     p.add_argument("--summary-json", default=None, metavar="FILE",
                    help="write the summary dict as JSON")
-    p.add_argument("--pgo-out", default=None, metavar="FILE",
-                   help=f"write the per-block profile as a {PGO_SCHEMA} "
-                        "envelope for superinstruction fusion")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the hot-spot tables")
     p.add_argument("--no-profile", action="store_true",
@@ -370,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--json", action="store_true")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--pgo", default=None, metavar="FILE",
-                   help=f"extract the trace's vm.profile instants into "
-                        f"a {PGO_SCHEMA} envelope")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("trajectory",

@@ -30,38 +30,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..api import envelopes
-
 # Builtins that are pointer-arithmetic checks (the paper's GC_same_obj
 # family): profiled per call site so check overhead in `-checked`
 # builds can be attributed to the code that incurs it.
 CHECK_BUILTINS = frozenset((
     "GC_same_obj", "GC_pre_incr", "GC_post_incr", "GC_check_base", "GC_base",
 ))
-
-# Persisted per-block profile envelope: the input to profile-guided
-# superinstruction selection (``repro.machine.superinst``).  The format
-# is deliberately tiny — block identities plus their cycle shares — so
-# a profile recorded once replays deterministically forever.
-PGO_SCHEMA = envelopes.VMPROF_PGO
-
-
-def pgo_from_profile_dict(d: dict) -> dict:
-    """Build a ``repro-vmprof-pgo/1`` envelope from a profile summary
-    dict (``VMProfile.to_dict()`` output, as embedded in traces)."""
-    return {
-        "schema": PGO_SCHEMA,
-        "tag": d.get("tag", ""),
-        "runs": d.get("runs", 0),
-        "total_cycles": d.get("total_cycles", 0),
-        "total_instructions": d.get("total_instructions", 0),
-        "blocks": [
-            {"function": b["function"], "block": b["block"],
-             "cycles": b["cycles"], "instructions": b["instructions"]}
-            for b in d.get("blocks", [])
-        ],
-    }
-
 
 class VMProfile:
     """Accumulates per-function / per-block / per-check-site costs."""
@@ -172,12 +146,6 @@ class VMProfile:
                 where = f"{func}:{block}+{pc}"
                 lines.append(f"  {where:<45.45s} {builtin:>14s} {count:>10d}")
         return "\n".join(lines)
-
-    def to_pgo(self) -> dict[str, Any]:
-        """The persisted ``repro-vmprof-pgo/1`` envelope for this
-        profile: every basic block with its cycle/instruction totals,
-        hottest first (see :data:`PGO_SCHEMA`)."""
-        return pgo_from_profile_dict(self.to_dict())
 
     def to_dict(self, top: int = 0) -> dict[str, Any]:
         """JSON-ready summary; ``top=0`` means everything."""

@@ -1,27 +1,36 @@
-"""Superinstruction tests: plan selection, persisted profiles, and the
-bit-identity guarantees fusion must uphold."""
-
-import json
+"""Superinstruction tests: runs fuse themselves on their FUSE_AFTER-th
+entry, and fusion upholds the bit-identity guarantees."""
 
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.machine import CompileConfig, VM, compile_source
+from repro.machine import CompileConfig, VM, compile_source, superinst
 from repro.machine.models import MODELS
-from repro.machine.superinst import (
-    SuperinstPlan, load_pgo, plan_from_pgo, plan_from_profile, save_pgo,
-)
 from repro.machine.vm import VMError
-from repro.obs.vmprof import PGO_SCHEMA, VMProfile
+from repro.obs.vmprof import VMProfile
 
 # Two hot loops (a leaf kernel called in a loop) — enough structure for
 # real fusion: self-looping inner blocks, calls that must not fuse, and
-# branches as early exits.
+# branches as early exits.  The kernel loads and stores every narrow
+# width, signed and unsigned, inside its fused loop, and shifts what it
+# loads so that a wrong extension shows in the result.
 PROGRAM = """
 int work(int n) {
     int i;
     int acc = 0;
-    for (i = 0; i < n; i++) acc = (acc + i * 3) & 0xFFFF;
+    short h[8];
+    char c[8];
+    unsigned char u[8];
+    unsigned short w[8];
+    for (i = 0; i < 8; i++) { h[i] = 0; c[i] = 0; u[i] = 0; w[i] = 0; }
+    for (i = 0; i < n; i++) {
+        h[i & 7] = acc - 30000;
+        c[i & 7] = i * 7;
+        u[i & 7] = i * 5;
+        w[i & 7] = acc * 3;
+        acc = (acc + i * 3 + (h[(i + 3) & 7] >> 4) + (c[(i + 5) & 7] >> 2)
+               + (u[(i + 1) & 7] >> 3) + (w[(i + 2) & 7] >> 5)) & 0xFFFF;
+    }
     return acc;
 }
 int main(void) {
@@ -33,6 +42,17 @@ int main(void) {
 }
 """
 
+# One counted loop in main.  Its header run (condition test through the
+# backward jump) is entered once per test of the condition: N + 1 times.
+LOOP = """
+int main(void) {
+    int i;
+    int acc = 0;
+    for (i = 0; i < %d; i++) acc = (acc + i * 3) & 0xFFFF;
+    return acc & 0xFF;
+}
+"""
+
 
 def run_key(result):
     """Everything observable about a run."""
@@ -40,148 +60,138 @@ def run_key(result):
             result.output, result.collections, result.checks)
 
 
-def profiled_plan(config_name="O", model_key="ss10"):
-    """Compile PROGRAM, profile one run, return (compiled, plan)."""
+def build(source, config_name="O", model_key="ss10"):
     model = MODELS[model_key]
-    compiled = compile_source(PROGRAM, CompileConfig.named(config_name, model))
-    profile = VMProfile()
-    VM(compiled.asm, model, profile=profile).run()
-    return compiled, plan_from_profile(profile)
+    return compile_source(source, CompileConfig.named(config_name, model))
 
 
-class TestEnvelope:
-    def test_round_trip(self, tmp_path):
-        _, plan = profiled_plan()
-        compiled, _ = profiled_plan()
-        profile = VMProfile(tag="t")
-        VM(compiled.asm, MODELS["ss10"], profile=profile).run()
-        doc = profile.to_pgo()
-        assert doc["schema"] == PGO_SCHEMA
-        path = str(tmp_path / "p.pgo.json")
-        save_pgo(doc, path)
-        loaded = load_pgo(path)
-        assert loaded == doc
-        assert plan_from_pgo(loaded) == plan_from_pgo(doc)
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "something-else/9"}))
-        with pytest.raises(ValueError, match="not a repro-vmprof-pgo/1"):
-            load_pgo(str(path))
-
-    def test_save_rejects_wrong_schema(self, tmp_path):
-        with pytest.raises(ValueError, match="refusing"):
-            save_pgo({"schema": "nope"}, str(tmp_path / "x.json"))
-
-
-class TestPlan:
-    def test_selection_is_deterministic(self):
-        _, plan_a = profiled_plan()
-        _, plan_b = profiled_plan()
-        assert plan_a.blocks == plan_b.blocks
-        assert plan_a.digest() == plan_b.digest()
-
-    def test_digest_tracks_block_set(self):
-        a = SuperinstPlan(frozenset({("f", "entry")}))
-        b = SuperinstPlan(frozenset({("f", "entry"), ("g", ".L1")}))
-        assert a.digest() != b.digest()
-        assert a.digest().startswith("pgo-")
-
-    def test_empty_plan_is_falsy(self):
-        assert not SuperinstPlan(frozenset())
-        assert SuperinstPlan(frozenset({("f", "entry")}))
-
-    def test_min_share_floor_drops_cold_blocks(self):
-        doc = {
-            "schema": PGO_SCHEMA, "tag": "", "runs": 1,
-            "total_cycles": 1000, "total_instructions": 1000,
-            "blocks": [
-                {"function": "hot", "block": "entry", "cycles": 990,
-                 "instructions": 990},
-                {"function": "cold", "block": "entry", "cycles": 1,
-                 "instructions": 1},
-            ],
-        }
-        plan = plan_from_pgo(doc, min_share=0.01)
-        assert ("hot", "entry") in plan.blocks
-        assert ("cold", "entry") not in plan.blocks
+def profiled(compiled, model_key="ss10", **kwargs):
+    """The reference run: a profile keeps every run unfused."""
+    vm = VM(compiled.asm, MODELS[model_key], profile=VMProfile(), **kwargs)
+    result = vm.run()
+    assert vm.fused_runs == 0
+    return result
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("model_key", ("ss2", "ss10", "p90"))
     def test_fused_run_is_bit_identical(self, model_key):
-        model = MODELS[model_key]
-        compiled = compile_source(PROGRAM, CompileConfig.named("O", model))
-        _, plan = profiled_plan(model_key=model_key)
-        base = VM(compiled.asm, model).run()
-        fused_vm = VM(compiled.asm, model, superinst=plan)
-        fused = fused_vm.run()
-        assert fused_vm.superinst_stats is not None
-        assert fused_vm.superinst_stats.runs > 0
-        assert run_key(fused) == run_key(base)
+        compiled = build(PROGRAM, model_key=model_key)
+        vm = VM(compiled.asm, MODELS[model_key])
+        fused = vm.run()
+        assert vm.fused_runs > 0
+        assert run_key(fused) == run_key(profiled(compiled, model_key))
 
-    def test_profiler_invariants_hold_under_fusion(self):
-        compiled, plan = profiled_plan()
-        profile = VMProfile()
-        result = VM(compiled.asm, MODELS["ss10"], superinst=plan,
-                    profile=profile).run()
-        assert profile.total_cycles == result.cycles
-        assert profile.total_instructions == result.instructions
+    def test_loop_crossing_the_threshold_mid_run(self):
+        # 500 iterations: the loop runs plain for its first 63 entries,
+        # then fused for the rest, all inside one run() call.
+        compiled = build(LOOP % 500)
+        vm = VM(compiled.asm, MODELS["ss10"])
+        result = vm.run()
+        assert vm.fused_runs == 1
+        assert run_key(result) == run_key(profiled(compiled))
+
+    def test_run_entered_threshold_minus_one_times_is_not_fused(self):
+        below = VM(build(LOOP % (superinst.FUSE_AFTER - 2)).asm)
+        below.run()
+        assert below.fused_runs == 0
+        at = VM(build(LOOP % (superinst.FUSE_AFTER - 1)).asm)
+        at.run()
+        assert at.fused_runs == 1
 
     def test_gc_interval_disables_fusion(self):
         # The async-collection trigger must see every instruction
-        # boundary; fusion batches counter updates, so it turns off.
-        compiled, plan = profiled_plan()
-        vm = VM(compiled.asm, MODELS["ss10"], superinst=plan, gc_interval=64)
-        base = VM(compiled.asm, MODELS["ss10"], gc_interval=64).run()
-        fused = vm.run()
-        assert vm.superinst_stats is None
-        assert run_key(fused) == run_key(base)
+        # boundary; fusion batches counter updates, so it stays off.
+        compiled = build(PROGRAM)
+        vm = VM(compiled.asm, MODELS["ss10"], gc_interval=64)
+        result = vm.run()
+        assert vm.fused_runs == 0
+        assert run_key(result) == run_key(profiled(compiled, gc_interval=64))
+
+    def test_profile_disables_fusion(self):
+        compiled = build(PROGRAM)
+        profile = VMProfile()
+        vm = VM(compiled.asm, MODELS["ss10"], profile=profile)
+        result = vm.run()
+        assert vm.fused_runs == 0
+        assert profile.total_cycles == result.cycles
+        assert profile.total_instructions == result.instructions
+
+    def test_fuse_after_zero_disables_fusion(self, monkeypatch):
+        monkeypatch.setattr(superinst, "FUSE_AFTER", 0)
+        compiled = build(PROGRAM)
+        vm = VM(compiled.asm, MODELS["ss10"])
+        result = vm.run()
+        assert vm.fused_runs == 0
+        assert run_key(result) == run_key(profiled(compiled))
 
     @pytest.mark.parametrize("budget", (10, 997, 12345))
     def test_budget_raise_is_equivalent(self, budget):
-        compiled, plan = profiled_plan()
+        compiled = build(PROGRAM)
         model = MODELS["ss10"]
 
-        def run_with(superinst):
-            vm = VM(compiled.asm, model, superinst=superinst,
+        def run_with(profile):
+            vm = VM(compiled.asm, model, profile=profile,
                     max_instructions=budget)
             try:
                 vm.run()
             except VMError as exc:
-                return str(exc), vm._st[0]
-            return None, vm._st[0]
+                return str(exc), vm.instructions
+            return None, vm.instructions
 
-        base_err, base_count = run_with(None)
-        fused_err, fused_count = run_with(plan)
+        base_err, base_count = run_with(VMProfile())
+        fused_err, fused_count = run_with(None)
         assert base_err is not None, "budget chosen too large for the test"
         assert fused_err == base_err
         assert fused_count == base_count == budget + 1
 
+    @pytest.mark.parametrize("offset", range(10))
+    def test_budget_raise_inside_a_fused_self_loop(self, offset):
+        # The loop body is a handful of instructions, so consecutive
+        # budgets land the raise on every position in it, long after
+        # the loop fused itself.
+        compiled = build(LOOP % 100_000)
+        budget = 5000 + offset
+
+        def run_with(profile):
+            vm = VM(compiled.asm, MODELS["ss10"], profile=profile,
+                    max_instructions=budget)
+            with pytest.raises(VMError) as info:
+                vm.run()
+            return vm, str(info.value)
+
+        base_vm, base_err = run_with(VMProfile())
+        fused_vm, fused_err = run_with(None)
+        assert fused_vm.fused_runs == 1
+        assert fused_err == base_err
+        assert fused_vm.instructions == base_vm.instructions == budget + 1
+
 
 class TestCacheSalting:
-    def test_pgo_and_sink_salt_result_keys(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = CompileConfig.named("O")
-        _, plan = profiled_plan()
-        plain = cache.key_for(PROGRAM, config)
-        pgod = cache.key_for(PROGRAM, config, pgo=plan.digest())
-        sunk = cache.key_for(PROGRAM, config, sink=True)
-        both = cache.key_for(PROGRAM, config, pgo=plan.digest(), sink=True)
-        assert len({plain, pgod, sunk, both}) == 4
-
-    def test_default_knobs_leave_keys_unchanged(self, tmp_path):
-        # pgo=None / sink=False must address the same entry as a caller
-        # that never heard of either knob.
+    def test_sink_salts_result_keys(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         config = CompileConfig.named("O")
         assert (cache.key_for(PROGRAM, config)
-                == cache.key_for(PROGRAM, config, pgo=None, sink=False))
+                != cache.key_for(PROGRAM, config, sink=True))
 
-    def test_different_plans_different_keys(self, tmp_path):
+    def test_default_knobs_leave_keys_unchanged(self, tmp_path):
+        # sink=False must address the same entry as a caller that never
+        # heard of the knob.
         cache = ResultCache(str(tmp_path))
         config = CompileConfig.named("O")
-        a = SuperinstPlan(frozenset({("work", "entry")}))
-        b = SuperinstPlan(frozenset({("main", "entry")}))
-        assert (cache.key_for(PROGRAM, config, pgo=a.digest())
-                != cache.key_for(PROGRAM, config, pgo=b.digest()))
+        assert (cache.key_for(PROGRAM, config)
+                == cache.key_for(PROGRAM, config, sink=False))
+
+    def test_unsunk_keys_are_pinned(self, tmp_path):
+        # Fusion never enters a result key: these addresses were minted
+        # before superinstructions selected themselves, and cached
+        # cells must stay reachable under them.
+        cache = ResultCache(str(tmp_path))
+        source = "int main(void) { return 42; }\n"
+        assert cache.key_for(source, CompileConfig.named("O")) == (
+            "0d9c41333b1effb85923abd98a2254fc"
+            "0bcc27a346a620266965e10f4aba3676")
+        assert cache.key_for(source, CompileConfig.named("g_checked"),
+                             stdin="x", gc_interval=7) == (
+            "16556e7ca18ca619c7d40a1c214680e1"
+            "72250d16902ff56cd630e417c4a4ebc0")

@@ -209,6 +209,34 @@ class TestRelease:
         assert collector.dynamic_root_providers == []
         assert collector.range_providers == []
 
+    def test_vm_with_fused_runs_is_freed_without_the_cyclic_collector(self):
+        # Counting leaders hold their own function's closure list, and
+        # a fused closure is exec-compiled into a fresh globals dict:
+        # neither may keep a released VM (or the fused code) alive.
+        src = ("int main(void) { int i; int acc = 0; "
+               "for (i = 0; i < 500; i++) acc = (acc + i) & 0xFFFF; "
+               "return acc & 0xFF; }")
+        compiled = build(src)
+        was_enabled = pygc.isenabled()
+        pygc.disable()
+        try:
+            vm = VM(compiled.asm)
+            result = vm.run()
+            assert vm.fused_runs == 1
+            fused = [op for ops in vm._ops.values() for op in ops
+                     if op.__name__ == "_super"]
+            assert len(fused) == 1
+            fused_ref = weakref.ref(fused.pop())
+            vm.release()
+            ref = weakref.ref(vm)
+            del vm
+            assert ref() is None
+            assert fused_ref() is None
+        finally:
+            if was_enabled:
+                pygc.enable()
+        assert result.exit_code == sum(range(500)) & 0xFFFF & 0xFF
+
     def test_release_is_idempotent_and_keeps_state(self):
         def other():  # a root provider the VM does not own
             return ()

@@ -65,11 +65,10 @@ class TestProducersImportTheRegistry:
     """Schema literals must not drift from their producer modules."""
 
     def test_obs_constants_come_from_registry(self):
-        from repro.obs import metrics, report, sentinel, tracer, vmprof
+        from repro.obs import metrics, report, sentinel, tracer
         assert tracer.SCHEMA is envelopes.OBS_TRACE
         assert report.SUMMARY_SCHEMA is envelopes.OBS_SUMMARY
         assert metrics.SCHEMA is envelopes.OBS_METRICS
-        assert vmprof.PGO_SCHEMA is envelopes.VMPROF_PGO
         assert sentinel.SCHEMA is envelopes.OBS_SENTINEL
         assert sentinel.TRAJECTORY_SCHEMA is envelopes.OBS_BENCH
         assert sentinel.EXEC_SCHEMA is envelopes.EXEC_BENCH
