@@ -8,15 +8,16 @@ against a fresh cache root:
     cold  — empty cache: every cell compiles and executes, then stores;
     warm  — same table again: every cell replays from the result tier.
 
-Asserts (exit 1 on violation):
+Judges one ``exec`` record against the ``repro.obs.sentinel.RULES``
+(exit 1 on violation):
 
 * the rendered table is byte-identical between the runs;
-* the warm run's combined hit rate is >= --min-hit-rate (default 0.90);
-* the warm wall time is >= --min-speedup x faster (default 2.0) —
-  sound to demand because a warm cell skips compile *and* VM execution.
+* every warm lookup hits the cache;
+* the warm run is at least 2x faster — sound to demand because a warm
+  cell skips compile *and* VM execution.
 
-Appends one record to --out (default BENCH_exec.json) so the speedup
-has a history, like BENCH_obs.json for telemetry overhead.
+A passing record is appended to --out (default: the repo's
+BENCH.jsonl) so the speedup has a history.
 
     python benchmarks/check_exec_cache.py
     python benchmarks/check_exec_cache.py --workers 4 --model ss10
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -38,6 +38,9 @@ sys.path.insert(0, os.path.join(
 from repro.bench.harness import Harness  # noqa: E402
 from repro.bench.tables import render_slowdown_table  # noqa: E402
 from repro.exec import cache as exec_cache  # noqa: E402
+from repro.obs.sentinel import (  # noqa: E402
+    TRAJECTORY, append_record, exit_code, failures, make_record,
+)
 
 TABLE_KEYS = {"ss2": "t1_ss2", "ss10": "t2_ss10", "p90": "t3_p90"}
 
@@ -63,11 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workloads", default="",
                     help="comma-separated subset (default: all)")
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--min-speedup", type=float, default=2.0)
-    ap.add_argument("--min-hit-rate", type=float, default=0.90)
     ap.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "BENCH_exec.json"))
+        TRAJECTORY))
     ap.add_argument("--label", default="")
     args = ap.parse_args(argv)
     workloads = (tuple(args.workloads.split(","))
@@ -85,46 +86,27 @@ def main(argv: list[str] | None = None) -> int:
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     identical = warm_table == cold_table
 
-    record = {
-        "schema": "repro-exec-bench/1",
-        "label": args.label,
-        "model": args.model,
+    record = make_record("exec", args.label, {
         "workers": args.workers,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
-        "speedup": round(speedup, 2),
-        "warm_hit_rate": round(hit_rate, 4),
+        "speedup": speedup,  # unrounded: the rules judge these two
+        "warm_hit_rate": hit_rate,
         "tables_identical": identical,
         "table_sha256": hashlib.sha256(cold_table.encode()).hexdigest(),
         "cold_stats": cold_stats,
         "warm_stats": warm_stats,
-    }
-    history = []
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            history = json.load(fh)
-    history.append(record)
-    with open(args.out, "w") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
-
-    failures = []
-    if not identical:
-        failures.append("warm table differs from cold table")
-    if hit_rate < args.min_hit_rate:
-        failures.append(f"warm hit rate {hit_rate:.1%} < "
-                        f"{args.min_hit_rate:.0%}")
-    if speedup < args.min_speedup:
-        failures.append(f"warm speedup {speedup:.2f}x < "
-                        f"{args.min_speedup:.1f}x")
-    verdict = "FAIL" if failures else "OK"
-    print(f"{verdict}: cold {cold_s:.2f}s -> warm {warm_s:.2f}s "
-          f"({speedup:.1f}x), warm hit rate {hit_rate:.1%}, tables "
-          f"{'identical' if identical else 'DIFFER'} "
-          f"(model {args.model}, workers {args.workers}) -> {args.out}")
-    for failure in failures:
+    }, model=args.model)
+    checks = append_record(args.out, record)
+    code = exit_code(checks)
+    print(f"{'FAIL' if code else 'OK'}: cold {cold_s:.2f}s -> warm "
+          f"{warm_s:.2f}s ({speedup:.1f}x), warm hit rate {hit_rate:.1%}, "
+          f"tables {'identical' if identical else 'DIFFER'} "
+          f"(model {args.model}, workers {args.workers})"
+          + ("" if code else f" -> {args.out}"))
+    for failure in failures(checks):
         print(f"  - {failure}")
-    return 1 if failures else 0
+    return code
 
 
 if __name__ == "__main__":

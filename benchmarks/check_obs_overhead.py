@@ -17,6 +17,10 @@ taking minima makes the gate robust to CI-runner noise; the simulated
 *cycle* counts are additionally asserted bit-identical, which catches
 accidental semantic drift regardless of timing.
 
+The result is judged as an in-memory ``overhead`` record against the
+``repro.obs.sentinel.RULES`` (at most 2% overhead, cycles identical)
+and never appended to the trajectory.
+
 Exit codes: 0 ok (or SKIP when the baseline is unresolvable),
 1 overhead above threshold, 2 cycle-count mismatch.
 """
@@ -31,6 +35,11 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "src"))
+
+from repro.obs.sentinel import (  # noqa: E402
+    exit_code, failures, judge, make_record,
+)
 
 # Runs in a child interpreter with PYTHONPATH set by the parent; prints
 # one JSON line {"wall_s": ..., "cycles": ...}.
@@ -73,8 +82,8 @@ def resolve_baseline(ref: str) -> str | None:
 
 
 def measure_overhead(child: str, argv: list[str], head_src: str,
-                     base_src: str, *, repeats: int, threshold: float,
-                     what: str, drift_hint: str) -> int:
+                     base_src: str, *, repeats: int, what: str,
+                     drift_hint: str) -> int:
     """The overhead-gate harness: ``child`` on two source trees.
 
     The repeats are interleaved and each side's minimum wall time
@@ -96,20 +105,24 @@ def measure_overhead(child: str, argv: list[str], head_src: str,
     if len(head_cycles) != 1 or len(base_cycles) != 1:
         print(f"FAIL: nondeterministic cycle counts "
               f"(head {head_cycles}, base {base_cycles})")
-        return 2
-    if head_cycles != base_cycles:
+    elif head_cycles != base_cycles:
         print(f"FAIL: simulated cycles drifted: head {head_cycles.pop()} "
               f"vs baseline {base_cycles.pop()} — {drift_hint}")
-        return 2
 
     head = min(r["wall_s"] for r in head_runs)
     base = min(r["wall_s"] for r in base_runs)
     overhead = 100.0 * (head - base) / base
-    verdict = "OK" if overhead <= threshold else "FAIL"
-    print(f"{verdict}: {what} overhead {overhead:+.2f}% "
-          f"(head {head:.3f}s vs base {base:.3f}s, min of {repeats}; "
-          f"threshold {threshold:.1f}%)")
-    return 0 if overhead <= threshold else 1
+    checks = judge(make_record("overhead", what, {
+        "overhead_pct": overhead, "head_s": head, "base_s": base,
+        "repeats": repeats,
+        "cycles_identical": len(head_cycles | base_cycles) == 1,
+    }))
+    code = exit_code(checks)
+    print(f"{'FAIL' if code else 'OK'}: {what} overhead {overhead:+.2f}% "
+          f"(head {head:.3f}s vs base {base:.3f}s, min of {repeats})")
+    for failure in failures(checks):
+        print(f"  - {failure}")
+    return code
 
 
 def compare_to_baseline(child: str, argv: list[str], baseline: str,
@@ -140,13 +153,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="git rev to compare against (default: HEAD~1)")
     ap.add_argument("--workload", default="cfrac")
     ap.add_argument("--config", default="O")
-    ap.add_argument("--threshold", type=float, default=2.0,
-                    help="max allowed overhead in percent (default: 2)")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     return compare_to_baseline(
         CHILD, [args.workload, args.config], args.baseline,
-        repeats=args.repeats, threshold=args.threshold,
+        repeats=args.repeats,
         what=f"{args.workload}/{args.config} tracing-disabled",
         drift_hint="telemetry must be observation-only")
 

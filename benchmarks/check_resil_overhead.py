@@ -15,9 +15,10 @@ The measurement is ``check_obs_overhead.py``'s harness
 (:func:`check_obs_overhead.compare_to_baseline`): the baseline tree is
 materialized with ``git worktree add``, repeats are interleaved to
 decorrelate from CI-runner drift, and the minimum wall time of each
-side is compared.  The summed simulated cycle counts are additionally
-asserted bit-identical across every run of both trees — recovery
-machinery must be invisible when nothing fails.
+side is judged against the overhead rule of
+``repro.obs.sentinel.RULES``.  The summed simulated cycle counts are
+additionally asserted bit-identical across every run of both trees —
+recovery machinery must be invisible when nothing fails.
 
 Exit codes: 0 ok (or SKIP when the baseline is unresolvable),
 1 overhead above threshold, 2 cycle-count mismatch.
@@ -81,13 +82,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="git rev to compare against (default: HEAD~1)")
     ap.add_argument("--tasks", type=int, default=8)
     ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument("--threshold", type=float, default=2.0,
-                    help="max allowed overhead in percent (default: 2)")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     return compare_to_baseline(
         CHILD, [str(args.tasks), str(args.workers)], args.baseline,
-        repeats=args.repeats, threshold=args.threshold,
+        repeats=args.repeats,
         what=f"sharded engine ({args.tasks} tasks, {args.workers} workers) "
              f"uninjected",
         drift_hint="the resilience layer must be invisible when nothing "

@@ -3,20 +3,20 @@
 
 Two checks, one command:
 
-1. **Sentinel** — validate every ``BENCH_*.json`` trajectory, measure
-   the workload fresh (min-of-N wall, repeated for determinism), and
-   compare against the recorded points: simulated counts must be
-   bit-identical, wall time must sit inside the median + MAD noise
-   bound (advisory unless ``--strict-wall``).  The verdict is a
-   ``repro-obs-sentinel/1`` envelope; ``--out`` persists it and
-   ``--metrics-out`` / ``--prom`` persist the metrics snapshot captured
-   during the fresh runs.
+1. **Sentinel** — validate ``BENCH.jsonl`` and judge every committed
+   record against the ``repro.obs.sentinel.RULES``, measure the
+   workload fresh (min-of-N wall, repeated for determinism), and judge
+   each config's fresh record against the committed records of its
+   cell: simulated counts must be bit-identical to every one that
+   carries counts, and wall time should sit inside the median + MAD
+   noise bound (advisory).  The verdict is a ``repro-obs-sentinel/1``
+   envelope; ``--out`` persists it and ``--metrics-out`` / ``--prom``
+   persist the metrics snapshot captured during the fresh runs.
 
 2. **Overhead** — delegate to :mod:`check_obs_overhead`: with all
    telemetry disabled (the default runtime state), HEAD must run the
-   workload within ``--threshold`` percent of ``--baseline``.  A
-   baseline that cannot be resolved (shallow clone) is a SKIP, not a
-   failure.
+   workload within the overhead rule of ``--baseline``.  A baseline
+   that cannot be resolved (shallow clone) is a SKIP, not a failure.
 
     python benchmarks/check_sentinel.py --baseline origin/main
     python benchmarks/check_sentinel.py --baseline HEAD~1 --repeats 3 \
@@ -41,7 +41,7 @@ import check_obs_overhead  # noqa: E402  (needs benchmarks on sys.path)
 
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.sentinel import (  # noqa: E402
-    default_trajectories, render_verdict, run_sentinel,
+    TRAJECTORY, render_verdict, run_sentinel,
 )
 
 
@@ -54,15 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--configs", default="O,O_safe,g,g_checked")
     ap.add_argument("--repeats", type=int, default=3,
                     help="fresh measurements per config (min-of-N wall)")
-    ap.add_argument("--wall-slack", type=float, default=0.5)
-    ap.add_argument("--mad-k", type=float, default=3.0)
-    ap.add_argument("--strict-wall", action="store_true",
-                    help="a wall-bound breach fails the gate (default: "
-                         "advisory — counts are the hard gate)")
-    ap.add_argument("--threshold", type=float, default=2.0,
-                    help="max disabled-path overhead in percent (default: 2)")
     ap.add_argument("--append", action="store_true",
-                    help="append the accepted point to the trajectory")
+                    help="append the accepted records to the trajectory")
     ap.add_argument("--out", default=None, metavar="FILE",
                     help="write the repro-obs-sentinel/1 verdict JSON")
     ap.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -73,18 +66,16 @@ def main(argv: list[str] | None = None) -> int:
                     help="run only the sentinel half")
     args = ap.parse_args(argv)
 
-    trajectories = default_trajectories(REPO)
-    if not trajectories:
-        print("FAIL: no BENCH_*.json trajectories found — the sentinel "
+    trajectory = os.path.join(REPO, TRAJECTORY)
+    if not os.path.exists(trajectory):
+        print(f"FAIL: no {TRAJECTORY} trajectory found — the sentinel "
               "has nothing to gate against")
         return 1
 
     configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
     verdict = run_sentinel(
         workload=args.workload, model=args.model, configs=configs,
-        repeats=args.repeats, trajectories=trajectories,
-        wall_slack=args.wall_slack, mad_k=args.mad_k,
-        strict_wall=args.strict_wall, append=args.append,
+        repeats=args.repeats, path=trajectory, append=args.append,
         label="ci-sentinel")
     print(render_verdict(verdict))
 
@@ -109,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"--- disabled-path overhead vs {args.baseline} ---", flush=True)
     return check_obs_overhead.main([
         "--baseline", args.baseline, "--workload", args.workload,
-        "--threshold", str(args.threshold),
         "--repeats", str(max(args.repeats, 5)),
     ])
 

@@ -12,15 +12,16 @@ jobs, seed 0, 8 concurrent clients) twice per worker count:
             lossy pipes); faulted bytes must equal fault-free bytes,
             exactly like ``repro chaos``.
 
-Asserts (exit 1 on violation):
+Judges one ``serve`` record per worker count against the
+``repro.obs.sentinel.RULES`` (exit 1 on violation):
 
 * byte-identity holds at every requested worker count;
-* the faulted replay is identical and actually recovered from faults;
-* the SLO report carries p50/p99 for every serve.* histogram;
-* if --slo-p99-ms is given, overall request p99 stays under it.
+* the faulted replay is identical;
+* the SLO report carries request p50 and p99.
 
-Appends one record per worker count to --out (default BENCH_serve.json)
-so served-latency percentiles have a history.
+Each passing record is appended to --out (default: the repo's
+BENCH.jsonl) so served-latency percentiles have a history; an empty
+--out appends nothing.
 
     python benchmarks/check_serve.py
     python benchmarks/check_serve.py --workers 1,4 --jobs 24 --clients 8
@@ -29,14 +30,15 @@ so served-latency percentiles have a history.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.obs.sentinel import (  # noqa: E402
+    TRAJECTORY, append_record, exit_code, failures, judge, make_record,
+)
 from repro.serve.daemon import ServeConfig  # noqa: E402
 from repro.serve.load import (  # noqa: E402
     CHAOS_FAULTS, LoadSpec, render_report, run_load,
@@ -51,54 +53,40 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--jobs", type=int, default=24)
     parser.add_argument("--model", default="ss10")
-    parser.add_argument("--slo-p99-ms", type=float, default=None)
     parser.add_argument("--label", default="")
-    parser.add_argument("--out", default="BENCH_serve.json",
-                        help="append one record per worker count here")
+    parser.add_argument("--out", default=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        TRAJECTORY), help="append one record per worker count here")
     args = parser.parse_args(argv)
 
     spec = LoadSpec(seed=args.seed, clients=args.clients, jobs=args.jobs)
-    ok = True
-    records = []
+    code = 0
     for workers in (int(w) for w in args.workers.split(",")):
         config = ServeConfig(model=args.model, workers=workers)
-        report = run_load(config, spec, check=True, faults=CHAOS_FAULTS,
-                          slo_p99_ms=args.slo_p99_ms)
+        report = run_load(config, spec, check=True, faults=CHAOS_FAULTS)
         print(f"--- workers={workers} ---")
         print(render_report(report))
         overall = report["latency"]["request_ns"].get("overall", {})
-        if not overall:
-            print(f"! workers={workers}: no request_ns percentiles",
-                  file=sys.stderr)
-            ok = False
-        if not report["ok"]:
-            ok = False
-        records.append({
-            "label": args.label, "time": time.time(),
+        record = make_record("serve", args.label, {
             "workers": workers, "seed": args.seed,
             "jobs": args.jobs, "clients": args.clients,
-            "ok": report["ok"],
             "byte_identity": report["byte_identity"]["ok"],
             "chaos_identical": report["chaos"]["identical"],
             "resil": report["chaos"]["resil"],
             "request_p50_ns": overall.get("p50"),
             "request_p99_ns": overall.get("p99"),
-        })
+        }, model=args.model)
+        checks = (append_record(args.out, record) if args.out
+                  else judge(record))
+        code = max(code, exit_code(checks))
+        for failure in failures(checks):
+            print(f"! workers={workers}: {failure}", file=sys.stderr)
+        if args.out and not exit_code(checks):
+            print(f"! appended the workers={workers} record to {args.out}",
+                  file=sys.stderr)
 
-    if args.out:
-        history = []
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                history = json.load(fh)
-        history.extend(records)
-        with open(args.out, "w") as fh:
-            json.dump(history, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"! appended {len(records)} record(s) to {args.out}",
-              file=sys.stderr)
-
-    print("serve gate: " + ("OK" if ok else "FAILED"), file=sys.stderr)
-    return 0 if ok else 1
+    print("serve gate: " + ("FAILED" if code else "OK"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -73,16 +73,13 @@ OBS_TRACE = _register("obs-trace", 1,
                       "JSONL traces (--trace, repro.obs record)")
 OBS_SUMMARY = _register("obs-summary", 1,
                         "repro.obs record --summary-json / report")
-OBS_BENCH = _register("obs-bench", 1,
-                      "repro.obs trajectory (BENCH_obs.json)")
+TRAJECTORY = _register("trajectory", 1,
+                       "BENCH.jsonl records (repro.obs trajectory / sentinel, "
+                       "benchmarks/check_*.py)")
 OBS_METRICS = _register("obs-metrics", 1,
                         "metric snapshots (--metrics-out, repro.obs record)")
 OBS_SENTINEL = _register("obs-sentinel", 1,
                          "repro.obs sentinel / benchmarks/check_sentinel.py")
-EXEC_BENCH = _register("exec-bench", 1,
-                       "benchmarks/check_exec_cache.py (BENCH_exec.json)")
-VM2_BENCH = _register("vm2-bench", 1,
-                      "benchmarks/check_vm_pgo.py (BENCH_vm2.json)")
 SERVE_REQUEST = _register("serve-request", 1,
                           "repro.api.Client -> daemon wire request")
 SERVE_RESPONSE = _register("serve-response", 1,

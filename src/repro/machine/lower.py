@@ -22,14 +22,16 @@ from ..cfront import cast as A
 from ..cfront.ctypes import (
     Array, CType, Function, INT, IntType, Pointer, Struct, VOID, WORD_SIZE,
 )
+from ..cfront.errors import CFrontError
 from ..cfront.symbols import Symbol, SymbolTable
 from .ir import FrameSlot, GlobalVar, Inst, IRFunc, IRProgram, Vreg
 
 MAX_REG_ARGS = 6
 
 
-class LowerError(Exception):
-    pass
+class LowerError(CFrontError):
+    """A program the frontend accepts but the backend cannot lower; a
+    typed diagnostic like every frontend error."""
 
 
 @dataclass
@@ -120,6 +122,8 @@ class Lowerer:
     def _lower_function(self, fndef: A.FuncDef) -> None:
         assert isinstance(fndef.ctype, Function)
         self.fn = IRFunc(fndef.name)
+        self._labels: set[str] = set()
+        self._gotos: set[str] = set()
         self._scopes.append({})
         taken = _address_taken_names(fndef)
         if len(fndef.params) > MAX_REG_ARGS:
@@ -137,6 +141,10 @@ class Lowerer:
             else:
                 self._scopes[-1][param.name] = (vreg, param.ctype.decay())
         self._lower_stmt(fndef.body, taken)
+        undefined = self._gotos - self._labels
+        if undefined:
+            raise LowerError(f"{fndef.name}: goto to undefined label "
+                             f"{min(undefined)!r}")
         if not self.fn.insts or self.fn.insts[-1].op != "ret":
             self.fn.emit(Inst("ret"))
         self.fn.layout_frame()
@@ -290,8 +298,13 @@ class Lowerer:
         elif isinstance(stmt, A.Switch):
             self._lower_switch(stmt, taken)
         elif isinstance(stmt, A.Goto):
+            self._gotos.add(stmt.label)
             fn.emit(Inst("jmp", symbol=f".{fn.name}_user_{stmt.label}"))
         elif isinstance(stmt, A.Label):
+            if stmt.name in self._labels:
+                raise LowerError(f"{fn.name}: label {stmt.name!r} defined "
+                                 "twice")
+            self._labels.add(stmt.name)
             fn.emit(Inst("label", symbol=f".{fn.name}_user_{stmt.name}"))
             if stmt.body is not None:
                 self._lower_stmt(stmt.body, taken)

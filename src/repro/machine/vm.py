@@ -484,7 +484,7 @@ class VM:
 
         def make_bad_label(symbol):
             def op(pc):
-                raise KeyError(symbol)  # matches the decode-loop behavior
+                raise VMError(f"branch to undefined label {symbol!r}")
             return op
 
         def make_bz(rs1, target, cost_not, cost_taken):

@@ -12,22 +12,22 @@
     python -m repro.obs report obs-trace.jsonl [--json]
         Re-render the reports from a recorded trace.
 
-    python -m repro.obs trajectory --workload cfrac --out BENCH_obs.json
+    python -m repro.obs trajectory --workload cfrac --out BENCH.jsonl
         Measure every config as the sentinel does (untraced, min of 3
-        runs) and append one perf-trajectory point (cycles, wall time,
-        GC pause totals per config) to the trajectory file.
+        runs) and append one repro-trajectory/1 record per config
+        (counts, wall time, GC pause totals) if the sentinel passes.
 
     python -m repro.obs trajectory --check [FILES...]
-        Schema-validate every BENCH_*.json trajectory; exits non-zero
-        on malformed or empty files.
+        Validate BENCH.jsonl and judge every record against the gate
+        rules; exits non-zero on a malformed, empty or failing file.
 
     python -m repro.obs top obs-metrics.jsonl [--interval 2] [--once]
         Watch live metrics snapshots (counters, gauges, histogram
         percentiles) appended by a run started with --metrics-out.
 
-    python -m repro.obs sentinel --workload cfrac [--strict-wall] [--append]
-        Fresh min-of-N measurement compared against the BENCH_*.json
-        trajectories: bit-exact counts, MAD-bounded wall times; emits a
+    python -m repro.obs sentinel --workload cfrac [--append]
+        Fresh min-of-N measurement judged against BENCH.jsonl:
+        bit-exact counts, MAD-bounded wall times (advisory); emits a
         repro-obs-sentinel/1 verdict.
 """
 
@@ -42,9 +42,8 @@ from . import clock as obs_clock
 from . import runtime
 from .metrics import load_snapshot, render_snapshot
 from .report import render_text, summarize
-from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY_SCHEMA,
-                       _measure, default_trajectories, render_verdict,
-                       run_sentinel, validate_trajectories)
+from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY,
+                       check_trajectory, render_verdict, run_sentinel)
 from .tracer import load_jsonl
 from ..gc.collector import Collector, GCCheckError
 from ..machine.driver import CompileConfig, compile_source
@@ -75,6 +74,7 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
     tracer = runtime.enable_tracing()
     profile = runtime.enable_profiling() if profile_on else None
     metrics = runtime.enable_metrics()
+    vm = None
     try:
         config = CompileConfig.named(config_name, MODELS[model_key])
         collector = Collector()
@@ -96,6 +96,8 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
             tracer.instant("vm.profile", profile=profile.to_dict())
     finally:
         runtime.reset()
+        if vm is not None:
+            vm.release()
     return tracer, profile, result, wall_s, metrics
 
 
@@ -167,22 +169,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     if args.check:
-        paths = args.files or default_trajectories()
-        if not paths:
-            print("trajectory check: no BENCH_*.json files found",
-                  file=sys.stderr)
-            return 1
+        paths = args.files or [TRAJECTORY]
         failed = 0
-        for path, issues in validate_trajectories(paths).items():
+        for path in paths:
+            records, issues = check_trajectory(path)
             if issues:
                 failed += 1
                 for issue in issues:
                     print(f"FAIL {issue}", file=sys.stderr)
             elif not args.quiet:
-                print(f"ok   {path}")
+                print(f"ok   {path} ({len(records)} records)")
         if failed:
             print(f"trajectory check: {failed}/{len(paths)} file(s) "
-                  "malformed or empty", file=sys.stderr)
+                  "malformed, empty or failing a rule", file=sys.stderr)
             return 1
         if not args.quiet:
             print(f"trajectory check: {len(paths)} file(s) valid")
@@ -190,44 +189,16 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
     source, stdin = _workload_source(args.workload)
     configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
-    point: dict = {
-        "date": time.strftime("%Y-%m-%d"),
-        "workload": args.workload,
-        "model": args.model,
-        "label": args.label,
-        "configs": {},
-    }
-    for config_name in configs:
-        # The sentinel's own measurement, so trajectory points and the
-        # fresh runs gated against them are taken the same way.
-        cell, issues = _measure(source, stdin, config_name, args.model,
-                                args.gc_interval, DEFAULT_REPEATS)
-        if issues:
-            for issue in issues:
-                print(f"error: {issue}", file=sys.stderr)
-            return 1
-        point["configs"][config_name] = cell
-        if not args.quiet:
-            print(f"{args.workload}/{config_name}/{args.model}: "
-                  f"cycles={cell['cycles']} wall={cell['wall_s']:.2f}s "
-                  f"gc_pause={cell['gc_pause_ns'] / 1e6:.2f}ms "
-                  f"collections={cell['collections']}", flush=True)
-
-    try:
-        with open(args.out) as fh:
-            doc = json.load(fh)
-        if doc.get("schema") != TRAJECTORY_SCHEMA:
-            raise SystemExit(f"error: {args.out} has unexpected schema "
-                             f"{doc.get('schema')!r}")
-    except FileNotFoundError:
-        doc = {"schema": TRAJECTORY_SCHEMA, "points": []}
-    doc["points"].append(point)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if not args.quiet:
-        print(f"appended trajectory point #{len(doc['points'])} to {args.out}")
-    return 0
+    # The sentinel's own measurement and judgement, so records and the
+    # fresh runs gated against them are taken the same way.
+    verdict = run_sentinel(
+        workload=args.workload, source=source, stdin=stdin,
+        model=args.model, configs=configs,
+        gc_interval=args.gc_interval, path=args.out, append=True,
+        label=args.label, quiet=args.quiet)
+    if not args.quiet or not verdict["ok"]:
+        print(render_verdict(verdict))
+    return 0 if verdict["ok"] else 1
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -256,9 +227,8 @@ def cmd_sentinel(args: argparse.Namespace) -> int:
     verdict = run_sentinel(
         workload=args.workload, model=args.model, configs=configs,
         repeats=args.repeats, gc_interval=args.gc_interval,
-        trajectories=args.files or None, wall_slack=args.wall_slack,
-        mad_k=args.mad_k, strict_wall=args.strict_wall,
-        append=args.append, label=args.label, quiet=args.quiet)
+        path=args.file, append=args.append, label=args.label,
+        quiet=args.quiet)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(verdict, fh, indent=2, sort_keys=True)
@@ -313,19 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("trajectory",
-                       help="append a perf-trajectory point to BENCH_obs.json "
+                       help=f"append perf-trajectory records to {TRAJECTORY} "
                             "or validate trajectories (--check)")
     p.add_argument("files", nargs="*", metavar="FILE",
-                   help="trajectory files for --check "
-                        "(default: every BENCH_*.json)")
+                   help=f"trajectory files for --check (default: {TRAJECTORY})")
     p.add_argument("--check", action="store_true",
-                   help="schema-validate trajectories instead of recording; "
-                        "exits non-zero on malformed/empty files")
+                   help="validate and judge trajectories instead of "
+                        "recording; exits non-zero on a malformed, empty or "
+                        "failing file")
     p.add_argument("--workload", default="cfrac")
     p.add_argument("--model", choices=tuple(MODELS), default="ss10")
     p.add_argument("--configs", default=",".join(DEFAULT_CONFIGS))
     p.add_argument("--gc-interval", type=int, default=0)
-    p.add_argument("--out", default="BENCH_obs.json")
+    p.add_argument("--out", default=TRAJECTORY)
     p.add_argument("--label", default="")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_trajectory)
@@ -340,25 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_top)
 
     p = sub.add_parser("sentinel",
-                       help="compare a fresh run against the BENCH_*.json "
-                            "trajectories (perf-regression gate)")
-    p.add_argument("files", nargs="*", metavar="FILE",
-                   help="trajectory files (default: every BENCH_*.json)")
+                       help=f"judge a fresh run against {TRAJECTORY} "
+                            "(perf-regression gate)")
+    p.add_argument("file", nargs="?", default=TRAJECTORY, metavar="FILE",
+                   help=f"trajectory file (default: {TRAJECTORY})")
     p.add_argument("--workload", default="cfrac")
     p.add_argument("--model", choices=tuple(MODELS), default="ss10")
     p.add_argument("--configs", default=",".join(DEFAULT_CONFIGS))
     p.add_argument("--gc-interval", type=int, default=0)
     p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                    help="min-of-N wall measurement (default %(default)s)")
-    p.add_argument("--wall-slack", type=float, default=0.5,
-                   help="relative wall tolerance floor (default 0.5)")
-    p.add_argument("--mad-k", type=float, default=3.0,
-                   help="MAD multiplier for the wall bound (default 3)")
-    p.add_argument("--strict-wall", action="store_true",
-                   help="wall regressions fail the verdict (default: "
-                        "advisory; only counts gate)")
     p.add_argument("--append", action="store_true",
-                   help="append the fresh point to the trajectory when green")
+                   help="append the fresh records to the trajectory when "
+                        "green")
     p.add_argument("--label", default="sentinel")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the repro-obs-sentinel/1 verdict JSON")

@@ -1,40 +1,45 @@
-"""The perf-regression sentinel: fresh metrics vs seeded trajectories.
+"""The perf trajectory, the one rule table every gate reads, and the
+perf-regression sentinel.
 
-Closes the observability loop.  ``repro obs trajectory`` and the bench/
-vm benchmark scripts append measurement points to the ``BENCH_*.json``
-trajectory files; :func:`run_sentinel` re-measures the workload fresh
-and renders a verdict against those trajectories:
+``BENCH.jsonl`` is the repo's performance history: one
+``repro-trajectory/1`` record per line, appended by :func:`append_record`
+and never rewritten.  A record carries
 
-* **Counts are a hard gate, compared bit-exactly.**  Simulated cycles,
-  instructions, collections, and checks are pure functions of
-  (source, config, model), so any drift is a real behavior change —
-  there is no noise to tolerate.
-* **Wall times are compared statistically.**  The fresh measurement is
-  min-of-N (the classic noise floor estimator); the trajectory history
-  provides a median and a median-absolute-deviation, and the bound is
-  ``median + max(mad_k * MAD, wall_slack * median)``.  Wall regressions
-  are advisory by default (CI machines are noisy) and fatal only under
-  ``strict_wall``.
+* ``gate`` — its producer: ``obs`` (``repro obs trajectory`` and the
+  sentinel), ``exec``, ``vm2`` or ``serve`` (the ``benchmarks/check_*.py``
+  gates); ``overhead`` records are judged in memory and never written;
+* ``label`` and ``date``;
+* ``workload`` / ``config`` / ``model``, null where the gate has none;
+* ``counts`` — simulated counts (a subset of :data:`COUNT_KEYS`), absent
+  when the gate measures none.  They are pure functions of (source,
+  config, model), so they are compared bit-exactly: there is no noise
+  to tolerate;
+* ``metrics`` — everything else the gate measured.
 
-The verdict serializes as a versioned ``repro-obs-sentinel/1`` envelope;
-accepted runs can append their fresh point back to the trajectory file
-(``append=True``) so the history grows with every green run.
+:data:`RULES` states every gate threshold and tolerance once, and
+:func:`judge` applies the rules of a record's gate to it.  Each gate
+script judges the record it just measured and appends it only if it
+passes; ``repro obs trajectory --check`` and the sentinel judge every
+committed record against the records before it.
 
-Also home to the trajectory validators behind
-``repro obs trajectory --check``: every ``BENCH_*.json`` flavor in the
-repo (``repro-obs-bench/1`` point documents, ``repro-exec-bench/1`` /
-``repro-vm2-bench/1`` record lists) is schema-checked on load so a
-malformed or empty trajectory fails loudly instead of silently gating
-nothing.
+:func:`run_sentinel` measures a workload fresh (min-of-N wall, repeated
+to prove count determinism) and judges each config's fresh record
+against the committed records of its (workload, config, model): every
+one that carries counts must equal the fresh counts, and the fresh wall
+time must sit inside the noise bound of the committed ``obs`` wall
+times (advisory: CI machines are noisy).  The verdict serializes as a
+versioned ``repro-obs-sentinel/1`` envelope; accepted runs can append
+their fresh records (``append=True``) so the history grows with every
+green run.
 """
 
 from __future__ import annotations
 
-import glob
 import json
+import operator
 import os
 import time
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import clock as obs_clock
 from ..api import envelopes
@@ -46,90 +51,69 @@ from ..machine.models import MODELS
 from ..machine.vm import VM
 
 SCHEMA = envelopes.OBS_SENTINEL
-TRAJECTORY_SCHEMA = envelopes.OBS_BENCH
-EXEC_SCHEMA = envelopes.EXEC_BENCH
-VM2_SCHEMA = envelopes.VM2_BENCH
+RECORD_SCHEMA = envelopes.TRAJECTORY
+#: The trajectory file, kept at the repo root.
+TRAJECTORY = "BENCH.jsonl"
 
 DEFAULT_CONFIGS = ("O", "O_safe", "g", "g_checked")
 #: Runs per config; the cell keeps the fastest (min-of-N wall).
 DEFAULT_REPEATS = 3
 
-#: The bit-exact comparison keys of one trajectory config cell.
+#: The simulated counts of one run, compared bit-exactly.
 COUNT_KEYS = ("exit_code", "cycles", "instructions", "collections", "checks")
-
-#: Keys every repro-obs-bench/1 config cell must carry.
-_POINT_CELL_KEYS = COUNT_KEYS + ("wall_s",)
-
-
-# -- trajectory validation ----------------------------------------------------
-
-def default_trajectories(root: str = ".") -> list[str]:
-    """Every ``BENCH_*.json`` in ``root``, sorted for determinism."""
-    return sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+#: Keys every record carries (``counts`` is optional).
+RECORD_KEYS = ("schema", "gate", "label", "date", "workload", "config",
+               "model", "metrics")
+GATES = ("obs", "exec", "vm2", "serve", "overhead")
 
 
-def validate_trajectory(path: str) -> list[str]:
-    """Schema-check one trajectory file; returns a list of issues
-    (empty = valid).  Unknown-schema files are reported, not ignored."""
-    issues: list[str] = []
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return [f"{path}: missing"]
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable/malformed JSON ({exc})"]
+# -- the rule table -----------------------------------------------------------
 
-    if isinstance(doc, dict):
-        schema = doc.get("schema")
-        if schema != TRAJECTORY_SCHEMA:
-            return [f"{path}: unexpected schema {schema!r} "
-                    f"(want {TRAJECTORY_SCHEMA})"]
-        points = doc.get("points")
-        if not isinstance(points, list) or not points:
-            return [f"{path}: empty trajectory (no points)"]
-        for i, point in enumerate(points):
-            if not isinstance(point, dict):
-                issues.append(f"{path}: point #{i} is not an object")
-                continue
-            for key in ("workload", "model", "configs"):
-                if key not in point:
-                    issues.append(f"{path}: point #{i} missing {key!r}")
-            for cfg, cell in (point.get("configs") or {}).items():
-                missing = [k for k in _POINT_CELL_KEYS
-                           if not isinstance(cell, dict) or k not in cell]
-                if missing:
-                    issues.append(f"{path}: point #{i} config {cfg!r} "
-                                  f"missing {missing}")
-        return issues
+class Rule(NamedTuple):
+    """One gate threshold, applied to every record of ``gate``.
 
-    if isinstance(doc, list):
-        if not doc:
-            return [f"{path}: empty trajectory (no records)"]
-        for i, rec in enumerate(doc):
-            if not isinstance(rec, dict):
-                issues.append(f"{path}: record #{i} is not an object")
-                continue
-            schema = rec.get("schema")
-            if schema not in (EXEC_SCHEMA, VM2_SCHEMA):
-                issues.append(f"{path}: record #{i} has unknown schema "
-                              f"{schema!r}")
-        return issues
+    ``op`` compares ``metrics[metric]`` with ``bound``: ``>=``, ``<=``,
+    ``<`` or ``==`` (a str bound names another metric of the record),
+    ``present`` (not null), ``exact`` (``counts`` equal to each committed
+    record's on the keys both carry) or ``wall`` (at most ``median +
+    max(k * MAD, slack * median)`` of the committed values, ``bound =
+    (k, slack)``).  A failed rule makes its gate exit ``exit_code``
+    unless it is ``advisory``.
+    """
 
-    return [f"{path}: neither a point document nor a record list"]
+    gate: str
+    metric: str
+    op: str
+    bound: Any = None
+    exit_code: int = 1
+    advisory: bool = False
 
 
-def validate_trajectories(paths: Sequence[str] | None = None,
-                          ) -> dict[str, list[str]]:
-    """``{path: issues}`` for every trajectory file (empty dict values =
-    all valid).  With no paths given, validates every ``BENCH_*.json``
-    in the current directory."""
-    if paths is None:
-        paths = default_trajectories()
-    return {path: validate_trajectory(path) for path in paths}
+#: Every gate threshold and tolerance, stated once.
+RULES: tuple[Rule, ...] = (
+    Rule("*", "counts", "exact", exit_code=2),
+    # The slack floor keeps a one-record history (MAD 0) from rejecting
+    # ordinary machine-to-machine variance.
+    Rule("obs", "wall_s", "wall", (3.0, 0.5), advisory=True),
+    Rule("vm2", "identity_ok", "==", True, exit_code=2),
+    Rule("vm2", "scratch_sunk", ">=", 1),
+    Rule("vm2", "scratch_collections_sunk", "<", "scratch_collections_base"),
+    Rule("vm2", "speedup", ">=", 1.5),
+    Rule("exec", "tables_identical", "==", True),
+    # A warm cell skips compile and execution, so every lookup must hit.
+    Rule("exec", "warm_hit_rate", "==", 1.0),
+    Rule("exec", "speedup", ">=", 2.0),
+    Rule("serve", "byte_identity", "==", True),
+    Rule("serve", "chaos_identical", "==", True),
+    Rule("serve", "request_p50_ns", "present"),
+    Rule("serve", "request_p99_ns", "present"),
+    Rule("overhead", "cycles_identical", "==", True, exit_code=2),
+    Rule("overhead", "overhead_pct", "<=", 2.0),
+)
 
+_COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt,
+            "==": operator.eq}
 
-# -- noise statistics ---------------------------------------------------------
 
 def _median(values: Sequence[float]) -> float:
     ordered = sorted(values)
@@ -145,34 +129,219 @@ def _mad(values: Sequence[float]) -> float:
     return _median([abs(v - med) for v in values])
 
 
-def wall_bound(history: Sequence[float], wall_slack: float = 0.5,
-               mad_k: float = 3.0) -> float:
-    """The acceptance bound for a fresh min-of-N wall time given the
-    trajectory history: ``median + max(mad_k * MAD, wall_slack *
-    median)``.  The slack floor keeps single-point histories (MAD = 0)
-    from rejecting ordinary machine-to-machine variance."""
-    med = _median(history)
-    return med + max(mad_k * _mad(history), wall_slack * med)
+def _check(rule: Rule, ok: bool, detail: str, **extra) -> dict[str, Any]:
+    return {"rule": rule.metric, "ok": ok, "advisory": rule.advisory,
+            "exit_code": rule.exit_code, "detail": detail, **extra}
+
+
+def _failed(kind: str, detail: str, **extra) -> dict[str, Any]:
+    """A failed check that no rule states: a malformed trajectory or a
+    nondeterministic measurement."""
+    return {"rule": kind, "ok": False, "advisory": False, "exit_code": 1,
+            "detail": detail, **extra}
+
+
+def judge(record: dict, history: Sequence[dict] = ()) -> list[dict]:
+    """Apply every rule of ``record``'s gate; one check dict per rule
+    application.
+
+    ``history`` is the committed records of the record's (workload,
+    config, model), as :func:`same_cell` selects them: the ``exact``
+    rule checks each one that carries counts, and the ``wall`` rule
+    bounds the metric by their values, so without history neither
+    applies.
+    """
+    checks: list[dict] = []
+    metrics = record.get("metrics", {})
+    for rule in RULES:
+        if rule.gate not in ("*", record.get("gate")):
+            continue
+        if rule.op == "exact":
+            counts = record.get("counts") or {}
+            for past in history:
+                past_counts = past.get("counts") or {}
+                keys = sorted(counts.keys() & past_counts.keys())
+                if not keys:
+                    continue
+                drift = [f"{k}: {past_counts[k]} -> {counts[k]}"
+                         for k in keys if past_counts[k] != counts[k]]
+                checks.append(_check(
+                    rule, not drift,
+                    ("counts bit-identical" if not drift
+                     else "count drift: " + "; ".join(drift)),
+                    against=past.get("label")))
+            continue
+        value = metrics.get(rule.metric)
+        if rule.op == "wall":
+            values = [p["metrics"][rule.metric] for p in history
+                      if p.get("gate") == rule.gate
+                      and rule.metric in p.get("metrics", {})]
+            if not values or value is None:
+                continue
+            mad_k, slack = rule.bound
+            med = _median(values)
+            bound = med + max(mad_k * _mad(values), slack * med)
+            checks.append(_check(
+                rule, value <= bound,
+                f"{rule.metric} {value:.3f} vs bound {bound:.3f} (median "
+                f"{med:.3f} of {len(values)}, MAD {_mad(values):.4f})",
+                value=value, bound=round(bound, 4)))
+            continue
+        if rule.op == "present":
+            checks.append(_check(rule, value is not None,
+                                 f"{rule.metric} = {value!r} (want present)"))
+            continue
+        bound = (metrics.get(rule.bound) if isinstance(rule.bound, str)
+                 else rule.bound)
+        want = (f"{rule.op} {rule.bound} = {bound!r}"
+                if isinstance(rule.bound, str) else f"{rule.op} {bound!r}")
+        ok = (value is not None and bound is not None
+              and _COMPARE[rule.op](value, bound))
+        checks.append(_check(rule, ok,
+                             f"{rule.metric} = {value!r} (want {want})",
+                             value=value, bound=bound))
+    return checks
+
+
+def exit_code(checks: Sequence[dict]) -> int:
+    """The gate's exit code: the highest of its failed, non-advisory
+    checks (0 when every one passed)."""
+    return max((c["exit_code"] for c in checks
+                if not c["ok"] and not c["advisory"]), default=0)
+
+
+def failures(checks: Sequence[dict]) -> list[str]:
+    """Detail lines of the failed checks, advisory ones marked."""
+    return [("(advisory) " if c["advisory"] else "") + c["detail"]
+            for c in checks if not c["ok"]]
+
+
+# -- records and the trajectory file ------------------------------------------
+
+def make_record(gate: str, label: str, metrics: dict, *,
+                workload: str | None = None, config: str | None = None,
+                model: str | None = None,
+                counts: dict | None = None) -> dict:
+    """A fresh ``repro-trajectory/1`` record dated today."""
+    record = envelopes.make(RECORD_SCHEMA, {
+        "gate": gate, "label": label, "date": time.strftime("%Y-%m-%d"),
+        "workload": workload, "config": config, "model": model,
+        "metrics": metrics})
+    if counts is not None:
+        record["counts"] = counts
+    return record
+
+
+def validate_record(record) -> list[str]:
+    """Shape issues of one record (empty = valid)."""
+    if not isinstance(record, dict):
+        return ["not a JSON object"]
+    if record.get("schema") != RECORD_SCHEMA:
+        return [f"schema {record.get('schema')!r} (want {RECORD_SCHEMA})"]
+    missing = [k for k in RECORD_KEYS if k not in record]
+    if missing:
+        return [f"missing {missing}"]
+    issues = []
+    if record["gate"] not in GATES:
+        issues.append(f"unknown gate {record['gate']!r}")
+    if not isinstance(record["metrics"], dict):
+        issues.append("metrics is not an object")
+    counts = record.get("counts")
+    if "counts" in record and (not isinstance(counts, dict) or not counts
+                               or not set(counts) <= set(COUNT_KEYS)):
+        issues.append(f"counts must map a non-empty subset of {COUNT_KEYS}")
+    return issues
+
+
+def same_cell(records: Sequence[dict], record: dict) -> list[dict]:
+    """The records of ``record``'s (workload, config, model); none for a
+    record without a workload."""
+    if record.get("workload") is None:
+        return []
+    key = (record["workload"], record.get("config"), record.get("model"))
+    return [r for r in records if r is not record
+            and (r.get("workload"), r.get("config"), r.get("model")) == key]
+
+
+def read_trajectory(path: str) -> tuple[list[dict], list[str]]:
+    """``(valid records, issues)`` of one trajectory file.  A missing,
+    empty or malformed file is an issue, never an empty history."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return [], [f"{path}: missing"]
+    except OSError as exc:
+        return [], [f"{path}: unreadable ({exc})"]
+    if not lines:
+        return [], [f"{path}: empty trajectory (no records)"]
+    records: list[dict] = []
+    issues: list[str] = []
+    for n, line in enumerate(lines, 1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            issues.append(f"{path}:{n}: malformed JSON ({exc})")
+            continue
+        problems = validate_record(record)
+        issues.extend(f"{path}:{n}: {p}" for p in problems)
+        if not problems:
+            records.append(record)
+    return records, issues
+
+
+def check_trajectory(path: str) -> tuple[list[dict], list[str]]:
+    """:func:`read_trajectory`, then :func:`judge` every record against
+    the records before it; a failed non-advisory check is an issue."""
+    records, issues = read_trajectory(path)
+    for i, record in enumerate(records):
+        for check in judge(record, same_cell(records[:i], record)):
+            if not check["ok"] and not check["advisory"]:
+                issues.append(f"{path}: {record['gate']} record "
+                              f"{record['label']!r}: {check['detail']}")
+    return records, issues
+
+
+def append_record(path: str, record: dict) -> list[dict]:
+    """Judge ``record`` against the records already in ``path`` and, if
+    it passes, append it as one JSON line; returns the checks.  Earlier
+    lines are never rewritten, and nothing is appended to a malformed
+    file."""
+    problems = validate_record(record)
+    if problems:
+        raise ValueError(f"invalid trajectory record: {problems}")
+    history: list[dict] = []
+    checks: list[dict] = []
+    if os.path.exists(path) and os.path.getsize(path):
+        history, issues = read_trajectory(path)
+        checks = [_failed("validate", issue) for issue in issues]
+    checks += judge(record, same_cell(history, record))
+    if exit_code(checks) == 0:
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return checks
 
 
 # -- fresh measurement --------------------------------------------------------
 
 def _measure(source: str, stdin: str, config_name: str, model_key: str,
-             gc_interval: int, repeats: int) -> tuple[dict, list[str]]:
-    """Compile + run one config ``repeats`` times; returns the fresh
-    cell (counts + min-of-N wall + GC phase totals of the best run) and
+             gc_interval: int, repeats: int,
+             ) -> tuple[dict, dict, list[str]]:
+    """Compile + run one config ``repeats`` times; returns the counts
+    and metrics (min-of-N wall + GC phase totals) of the fastest run and
     any determinism violations across repeats.
 
     Each run gets its own metrics registry, the source of its GC phase
     totals; it is folded into the caller's registry, if any, after the
-    run."""
+    run.  Each VM is released when its run ends, so no finished VM
+    waits for Python's cyclic collector inside a later timed repeat."""
     issues: list[str] = []
     clock = obs_clock.get_clock()
     outer = runtime.get_metrics()
-    best: dict | None = None
-    counts0: tuple | None = None
+    best: tuple[dict, dict] | None = None
     for rep in range(max(1, repeats)):
         registry = runtime.set_metrics(MetricsRegistry())
+        vm = None
         try:
             config = CompileConfig.named(config_name, MODELS[model_key])
             collector = Collector()
@@ -185,21 +354,20 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
             wall_s = (clock() - t0) / 1e9
         finally:
             runtime.set_metrics(outer)
+            if vm is not None:
+                vm.release()
         if outer is not None:
             outer.merge(registry)
-        counts = (result.exit_code, result.cycles, result.instructions,
-                  result.collections, result.checks)
-        if counts0 is None:
-            counts0 = counts
-        elif counts != counts0:
+        counts = {"exit_code": result.exit_code, "cycles": result.cycles,
+                  "instructions": result.instructions,
+                  "collections": result.collections,
+                  "checks": result.checks}
+        if best is not None and counts != best[0]:
             issues.append(
                 f"{config_name}: repeat {rep} counts {counts} != "
-                f"repeat 0 counts {counts0} — simulator nondeterminism")
-        if best is None or wall_s < best["wall_s"]:
-            best = {
-                "exit_code": result.exit_code, "cycles": result.cycles,
-                "instructions": result.instructions,
-                "collections": result.collections, "checks": result.checks,
+                f"repeat 0 counts {best[0]} — simulator nondeterminism")
+        if best is None or wall_s < best[1]["wall_s"]:
+            best = (counts, {
                 "wall_s": round(wall_s, 4),
                 "gc_pause_ns": _hist_stat(registry, "gc.pause_ns", "sum"),
                 "gc_root_scan_ns": _hist_stat(registry, "gc.root_scan_ns",
@@ -208,9 +376,9 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
                 "gc_sweep_ns": _hist_stat(registry, "gc.sweep_ns", "sum"),
                 "gc_max_pause_ns": _hist_stat(registry, "gc.pause_ns", "max"),
                 "live_bytes_after": collector.stats.live_bytes,
-            }
+            })
     assert best is not None
-    return best, issues
+    return best[0], best[1], issues
 
 
 def _hist_stat(registry: MetricsRegistry, name: str, stat: str) -> int:
@@ -225,16 +393,15 @@ def run_sentinel(workload: str = "cfrac", source: str | None = None,
                  stdin: str = "", model: str = "ss10",
                  configs: Sequence[str] = DEFAULT_CONFIGS,
                  repeats: int = DEFAULT_REPEATS, gc_interval: int = 0,
-                 trajectories: Sequence[str] | None = None,
-                 wall_slack: float = 0.5, mad_k: float = 3.0,
-                 strict_wall: bool = False, append: bool = False,
+                 path: str = TRAJECTORY, append: bool = False,
                  label: str = "sentinel", quiet: bool = True,
                  ) -> dict[str, Any]:
-    """Measure ``workload`` fresh and compare against the trajectories.
+    """Measure ``workload`` fresh and judge it against the trajectory.
 
     Returns the ``repro-obs-sentinel/1`` verdict envelope; ``ok`` is
-    the gate CI keys on.  ``append=True`` writes the fresh point back
-    to the ``repro-obs-bench/1`` trajectory when the verdict is green.
+    the gate CI keys on.  A trajectory file that does not exist yet is
+    an empty history.  ``append=True`` appends one ``obs`` record per
+    config when the verdict is green.
     """
     if source is None:
         from ..workloads import load_workload, WORKLOADS, AUX_WORKLOADS
@@ -244,168 +411,55 @@ def run_sentinel(workload: str = "cfrac", source: str | None = None,
         source = load_workload(workload)
         stdin = stdin or spec.stdin
 
-    if trajectories is None:
-        trajectories = default_trajectories()
-    validation = validate_trajectories(trajectories)
-    checks: list[dict[str, Any]] = []
-    for path, issues in validation.items():
-        for issue in issues:
-            checks.append({"file": path, "kind": "validate", "config": None,
-                           "ok": False, "detail": issue})
+    committed, issues = (check_trajectory(path) if os.path.exists(path)
+                         else ([], []))
+    checks = [_failed("validate", issue) for issue in issues]
 
     # Fresh measurement under the sentinel's own metrics registry (the
     # caller's registry, if any, is restored afterwards).
     previous = runtime.get_metrics()
     registry = runtime.set_metrics(MetricsRegistry())
     try:
-        fresh: dict[str, dict] = {}
+        fresh: list[dict] = []
         for config_name in configs:
-            cell, issues = _measure(source, stdin, config_name, model,
-                                    gc_interval, repeats)
-            fresh[config_name] = cell
-            for issue in issues:
-                checks.append({"file": None, "kind": "determinism",
-                               "config": config_name, "ok": False,
-                               "detail": issue})
+            counts, metrics, problems = _measure(
+                source, stdin, config_name, model, gc_interval, repeats)
+            checks.extend(_failed("determinism", problem,
+                                  config=config_name)
+                          for problem in problems)
+            record = make_record("obs", label, metrics, workload=workload,
+                                 config=config_name, model=model,
+                                 counts=counts)
+            fresh.append(record)
+            checks.extend({**check, "config": config_name} for check in
+                          judge(record, same_cell(committed, record)))
             if not quiet:
                 print(f"sentinel {workload}/{config_name}/{model}: "
-                      f"cycles={cell['cycles']} wall={cell['wall_s']:.2f}s",
-                      flush=True)
+                      f"cycles={counts['cycles']} "
+                      f"wall={metrics['wall_s']:.2f}s "
+                      f"gc_pause={metrics['gc_pause_ns'] / 1e6:.2f}ms "
+                      f"collections={counts['collections']}", flush=True)
         snapshot = registry.snapshot()
     finally:
         runtime.set_metrics(previous)
 
-    wall_info: dict[str, Any] = {"slack": wall_slack, "mad_k": mad_k,
-                                 "repeats": repeats, "bounds": {}}
-
-    for path in trajectories:
-        if validation.get(path):
-            continue  # already reported as a validation failure
-        with open(path) as fh:
-            doc = json.load(fh)
-
-        if isinstance(doc, dict):  # repro-obs-bench/1
-            points = [p for p in doc["points"]
-                      if p.get("workload") == workload
-                      and p.get("model") == model]
-            if not points:
-                checks.append({"file": path, "kind": "counts",
-                               "config": None, "ok": True,
-                               "detail": f"no points for {workload}/{model} "
-                                         "— nothing to compare"})
-                continue
-            latest = points[-1]
-            for config_name, cell in fresh.items():
-                base = latest.get("configs", {}).get(config_name)
-                if base is None:
-                    continue
-                diffs = [f"{k}: {base[k]} -> {cell[k]}"
-                         for k in COUNT_KEYS if base.get(k) != cell[k]]
-                checks.append({
-                    "file": path, "kind": "counts", "config": config_name,
-                    "ok": not diffs,
-                    "detail": ("counts bit-identical" if not diffs
-                               else "count drift: " + "; ".join(diffs))})
-                history = [p["configs"][config_name]["wall_s"]
-                           for p in points
-                           if config_name in p.get("configs", {})]
-                bound = wall_bound(history, wall_slack, mad_k)
-                wall_info["bounds"][config_name] = {
-                    "history": history, "bound": round(bound, 4),
-                    "fresh": cell["wall_s"]}
-                checks.append({
-                    "file": path, "kind": "wall", "config": config_name,
-                    "ok": cell["wall_s"] <= bound,
-                    "detail": f"min-of-{repeats} wall {cell['wall_s']:.3f}s "
-                              f"vs bound {bound:.3f}s "
-                              f"(median {_median(history):.3f}s, "
-                              f"MAD {_mad(history):.4f})"})
-            continue
-
-        # Record lists: repro-vm2-bench/1 and repro-exec-bench/1.
-        for rec in doc:
-            schema = rec.get("schema")
-            if schema == VM2_SCHEMA:
-                if (rec.get("workload") != workload
-                        or rec.get("model") != model):
-                    continue
-                config_name = rec.get("config")
-                cell = fresh.get(config_name)
-                if cell is None:
-                    continue
-                diffs = []
-                if rec.get("base_cycles") != cell["cycles"]:
-                    diffs.append(f"base_cycles {rec.get('base_cycles')} -> "
-                                 f"{cell['cycles']}")
-                if rec.get("base_collections") != cell["collections"]:
-                    diffs.append(
-                        f"base_collections {rec.get('base_collections')} -> "
-                        f"{cell['collections']}")
-                checks.append({
-                    "file": path, "kind": "counts", "config": config_name,
-                    "ok": not diffs,
-                    "detail": ("vm2 baseline counts match" if not diffs
-                               else "vm2 drift: " + "; ".join(diffs))})
-            elif schema == EXEC_SCHEMA:
-                # Internal-consistency gate: a seeded exec point must
-                # have byte-identical tables and a fully warm cache.
-                bad = []
-                if not rec.get("tables_identical", False):
-                    bad.append("tables_identical is false")
-                if rec.get("warm_hit_rate") != 1.0:
-                    bad.append(f"warm_hit_rate {rec.get('warm_hit_rate')} "
-                               "!= 1.0")
-                checks.append({
-                    "file": path, "kind": "consistency",
-                    "config": rec.get("label"),
-                    "ok": not bad,
-                    "detail": ("exec record consistent" if not bad
-                               else "; ".join(bad))})
-
-    validations_ok = all(not issues for issues in validation.values())
-    counts_ok = all(c["ok"] for c in checks
-                    if c["kind"] in ("counts", "determinism", "consistency"))
-    wall_ok = all(c["ok"] for c in checks if c["kind"] == "wall")
-    ok = validations_ok and counts_ok and (wall_ok or not strict_wall)
-
+    ok = exit_code(checks) == 0
     verdict: dict[str, Any] = {
         "schema": SCHEMA,
         "workload": workload, "model": model, "label": label,
-        "repeats": repeats, "configs": fresh,
+        "repeats": repeats, "records": fresh,
         "checks": checks,
-        "counts_ok": counts_ok, "wall_ok": wall_ok,
-        "strict_wall": strict_wall, "ok": ok,
-        "wall": wall_info,
-        "appended": False,
+        "ok": ok,
+        "wall_ok": all(c["ok"] for c in checks if c["advisory"]),
+        "appended": 0,
         "metrics": snapshot,
     }
-
     if append and ok:
-        target = next((p for p in trajectories
-                       if _is_point_document(p)), None)
-        if target is not None:
-            with open(target) as fh:
-                doc = json.load(fh)
-            doc["points"].append({
-                "date": time.strftime("%Y-%m-%d"),
-                "workload": workload, "model": model, "label": label,
-                "configs": fresh,
-            })
-            with open(target, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            verdict["appended"] = True
-            verdict["appended_to"] = target
+        for record in fresh:
+            if exit_code(append_record(path, record)) == 0:
+                verdict["appended"] += 1
+        verdict["appended_to"] = path
     return verdict
-
-
-def _is_point_document(path: str) -> bool:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(doc, dict) and doc.get("schema") == TRAJECTORY_SCHEMA
 
 
 def render_verdict(verdict: dict[str, Any]) -> str:
@@ -413,13 +467,15 @@ def render_verdict(verdict: dict[str, Any]) -> str:
              f"({verdict['workload']}/{verdict['model']}, "
              f"min-of-{verdict['repeats']})"]
     for check in verdict["checks"]:
-        mark = "ok " if check["ok"] else "FAIL"
-        where = check.get("file") or "-"
+        mark = ("ok " if check["ok"]
+                else "adv" if check["advisory"] else "FAIL")
         config = check.get("config") or "-"
-        lines.append(f"  [{mark}] {check['kind']:<11s} {config:<10s} "
-                     f"{where}: {check['detail']}")
-    if not any(c["kind"] == "wall" for c in verdict["checks"]):
+        against = check.get("against") or "-"
+        lines.append(f"  [{mark}] {check['rule']:<11s} {config:<10s} "
+                     f"{against}: {check['detail']}")
+    if not any(c["rule"] == "wall_s" for c in verdict["checks"]):
         lines.append("  (no wall history to compare)")
     if verdict.get("appended"):
-        lines.append(f"  appended fresh point to {verdict['appended_to']}")
+        lines.append(f"  appended {verdict['appended']} record(s) to "
+                     f"{verdict['appended_to']}")
     return "\n".join(lines)

@@ -123,6 +123,24 @@ class TestCcCommand:
     def test_missing_file(self, capsys):
         assert main(["cc", "/nonexistent/x.c"]) == 2
 
+    @pytest.mark.parametrize("source, message", [
+        ("int main(void) { goto nowhere; return 0; }",
+         "undefined label 'nowhere'"),
+        ("int main(void) { int x = 0; a: x++; if (x < 3) goto a; "
+         "a: return x; }", "label 'a' defined twice"),
+        ("int main(void) { break; return 0; }", "break outside loop"),
+        ("int main(void) { int n = 2; switch (n) { case n: return 1; } "
+         "return 0; }", "non-constant case label"),
+    ])
+    def test_lowering_errors_are_diagnostics(self, tmp_path, capsys,
+                                             source, message):
+        path = tmp_path / "bad.c"
+        path.write_text(source)
+        assert main(["cc", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_bench_single_workload(self, capsys):

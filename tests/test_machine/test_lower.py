@@ -4,6 +4,7 @@ import pytest
 
 from repro.cfront import parse, typecheck
 from repro.machine.ir import IRFunc, basic_blocks
+from repro.cfront.errors import CFrontError
 from repro.machine.lower import LowerError, Lowerer, lower_unit
 
 
@@ -135,6 +136,23 @@ class TestErrors:
     def test_break_outside_loop(self):
         with pytest.raises(LowerError):
             lower("int f(void) { break; return 0; }")
+
+    def test_goto_to_undefined_label(self):
+        with pytest.raises(LowerError, match="undefined label 'nowhere'"):
+            lower("int main(void) { goto nowhere; return 0; }")
+
+    def test_label_defined_twice(self):
+        with pytest.raises(LowerError, match="label 'a' defined twice"):
+            lower("int main(void) { int x = 0; a: x++; "
+                  "if (x < 3) goto a; a: return x; }")
+
+    def test_forward_and_backward_gotos_lower(self):
+        ir = lower("int main(void) { int x = 0; goto b; "
+                   "a: x++; b: if (x < 3) goto a; return x; }")
+        assert "main" in ir.functions
+
+    def test_lower_error_is_a_frontend_diagnostic(self):
+        assert issubclass(LowerError, CFrontError)
 
     def test_address_of_register_impossible(self):
         # The address-taken prepass promotes to memory, so this should

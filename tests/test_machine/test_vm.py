@@ -7,6 +7,7 @@ import pytest
 
 from repro.gc import Collector, GCCheckError
 from repro.machine import CompileConfig, VM, VMError, compile_source
+from repro.machine.asm import MInst
 from repro.machine.models import PENTIUM_90, SPARC_10, SPARCSTATION_2
 
 
@@ -177,6 +178,17 @@ class TestLazyStack:
         vm = VM(build(src, CompileConfig.named("g")).asm)
         assert vm.run().exit_code == 3
         assert 1 <= len(self._stack_pages(vm)) <= 2
+
+
+class TestUndefinedLabel:
+    def test_jump_to_missing_label_raises_vmerror(self):
+        # Lowering rejects such a goto; a hand-built jmp still fails as a
+        # typed VM error, not a KeyError.
+        compiled = build("int main(void) { return 0; }")
+        compiled.asm.functions["main"].insts.insert(
+            0, MInst("jmp", symbol=".main_nowhere"))
+        with pytest.raises(VMError, match="undefined label '.main_nowhere'"):
+            VM(compiled.asm).run()
 
 
 class TestRelease:

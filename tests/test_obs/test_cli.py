@@ -107,25 +107,25 @@ class TestObsReport:
 
 
 class TestObsTrajectory:
-    def test_trajectory_appends_points(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_obs.json"
+    def test_trajectory_appends_records(self, tmp_path, capsys):
+        out = tmp_path / "BENCH.jsonl"
         for label in ("first", "second"):
             rc = obs_main(["trajectory", "--workload", "miniawk",
                            "--configs", "O,O_safe", "--quiet",
                            "--label", label, "--out", str(out)])
             assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-obs-bench/1"
-        assert [p["label"] for p in doc["points"]] == ["first", "second"]
-        p = doc["points"][0]
-        assert set(p["configs"]) == {"O", "O_safe"}
-        cell = p["configs"]["O_safe"]
-        assert cell["cycles"] > 0 and cell["wall_s"] > 0
-        # Identical runs: the trajectory is deterministic in cycles.
-        assert doc["points"][0]["configs"]["O"]["cycles"] == \
-               doc["points"][1]["configs"]["O"]["cycles"]
+        records, issues = sentinel.read_trajectory(str(out))
+        assert issues == []
+        assert [(r["label"], r["config"]) for r in records] == [
+            ("first", "O"), ("first", "O_safe"),
+            ("second", "O"), ("second", "O_safe")]
+        assert {r["schema"] for r in records} == {"repro-trajectory/1"}
+        assert records[1]["counts"]["cycles"] > 0
+        assert records[1]["metrics"]["wall_s"] > 0
+        # Identical runs: the trajectory is deterministic in counts.
+        assert records[0]["counts"] == records[2]["counts"]
 
-    def test_trajectory_point_is_an_untraced_sentinel_cell(
+    def test_trajectory_record_is_an_untraced_sentinel_cell(
             self, tmp_path, monkeypatch):
         traced = []
         real_run = sentinel.VM.run
@@ -135,22 +135,24 @@ class TestObsTrajectory:
             return real_run(vm)
 
         monkeypatch.setattr(sentinel.VM, "run", run)
-        out = tmp_path / "BENCH_obs.json"
+        out = tmp_path / "BENCH.jsonl"
         assert obs_main(["trajectory", "--workload", "miniawk",
                          "--configs", "O", "--quiet",
                          "--out", str(out)]) == 0
         assert traced == [False] * sentinel.DEFAULT_REPEATS
-        cell = json.loads(out.read_text())["points"][0]["configs"]["O"]
-        verdict = sentinel.run_sentinel(workload="miniawk", configs=("O",),
-                                        repeats=1, trajectories=[])
-        assert set(cell) == set(verdict["configs"]["O"])
+        record, = sentinel.read_trajectory(str(out))[0]
+        assert set(record["counts"]) == set(sentinel.COUNT_KEYS)
+        assert {"wall_s", "gc_pause_ns"} <= set(record["metrics"])
 
-    def test_trajectory_rejects_foreign_schema(self, tmp_path):
-        out = tmp_path / "BENCH_obs.json"
-        out.write_text('{"schema": "something-else"}')
-        with pytest.raises(SystemExit):
-            obs_main(["trajectory", "--workload", "miniawk",
-                      "--configs", "O", "--quiet", "--out", str(out)])
+    def test_trajectory_leaves_a_malformed_file_alone(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "BENCH.jsonl"
+        out.write_text('{"schema": "something-else"}\n')
+        assert obs_main(["trajectory", "--workload", "miniawk",
+                         "--configs", "O", "--quiet",
+                         "--out", str(out)]) == 1
+        assert out.read_text() == '{"schema": "something-else"}\n'
+        assert "REGRESSION" in capsys.readouterr().out
 
 
 class TestMainCliFlags:

@@ -70,9 +70,7 @@ class TestProducersImportTheRegistry:
         assert report.SUMMARY_SCHEMA is envelopes.OBS_SUMMARY
         assert metrics.SCHEMA is envelopes.OBS_METRICS
         assert sentinel.SCHEMA is envelopes.OBS_SENTINEL
-        assert sentinel.TRAJECTORY_SCHEMA is envelopes.OBS_BENCH
-        assert sentinel.EXEC_SCHEMA is envelopes.EXEC_BENCH
-        assert sentinel.VM2_SCHEMA is envelopes.VM2_BENCH
+        assert sentinel.RECORD_SCHEMA is envelopes.TRAJECTORY
 
     def test_cache_code_version_comes_from_registry(self):
         from repro.exec import cache as exec_cache
