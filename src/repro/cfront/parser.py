@@ -14,6 +14,8 @@ supported: bitfields, K&R-style parameter declarations, ``long long``.
 
 from __future__ import annotations
 
+import operator
+
 from . import cast as A
 from .ctypes import (
     CHAR, CType, DOUBLE, FLOAT, Function, INT, IntType, Array, Pointer,
@@ -29,6 +31,23 @@ _STORAGE_KEYWORDS = frozenset("typedef extern static auto register".split())
 _QUALIFIER_KEYWORDS = frozenset("const volatile".split())
 
 _ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
+
+
+def _c_div(a: int, b: int) -> int:
+    """C division: the quotient truncates toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# Operators of constant expressions (enum values, array sizes), with C's
+# truncating ``/`` and ``%``.  The machine's operator table cannot be
+# used here: ``repro.machine`` imports the front end.
+_CONST_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": lambda a, b: a - b * _c_div(a, b),
+    "<<": operator.lshift, ">>": operator.rshift,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+}
 
 
 class _Scope:
@@ -295,17 +314,15 @@ class Parser:
                 return val
         if isinstance(expr, A.Unary) and expr.op == "-":
             return -self._const_int(expr.operand)
-        if isinstance(expr, A.Binary):
+        if isinstance(expr, A.Binary) and expr.op in _CONST_OPS:
             lhs, rhs = self._const_int(expr.left), self._const_int(expr.right)
-            ops = {
-                "+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b, "/": lambda a, b: a // b,
-                "%": lambda a, b: a % b, "<<": lambda a, b: a << b,
-                ">>": lambda a, b: a >> b, "|": lambda a, b: a | b,
-                "&": lambda a, b: a & b, "^": lambda a, b: a ^ b,
-            }
-            if expr.op in ops:
-                return ops[expr.op](lhs, rhs)
+            if rhs == 0 and expr.op in ("/", "%"):
+                raise ParseError("division by zero in constant expression",
+                                 expr.span.start, self.source)
+            if rhs < 0 and expr.op in ("<<", ">>"):
+                raise ParseError("negative shift count in constant expression",
+                                 expr.span.start, self.source)
+            return _CONST_OPS[expr.op](lhs, rhs)
         if isinstance(expr, (A.SizeofType, A.SizeofExpr)):
             if isinstance(expr, A.SizeofType):
                 return expr.of_type.size

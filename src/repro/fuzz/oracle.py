@@ -152,11 +152,9 @@ def compile_and_run(source: str, config_name: str, model_name: str = "ss10",
 
 def _cell_worker(payload: tuple) -> Outcome:
     """Engine task: one oracle cell.  Payload is (source, config, model,
-    gc_interval, poison, max_instructions[, sink]) — all picklable
-    scalars; the optional seventh element keeps older 6-tuple payloads
-    working."""
-    source, config, model, gc_interval, poison, max_instructions = payload[:6]
-    sink = bool(payload[6]) if len(payload) > 6 else False
+    gc_interval, poison, max_instructions, sink) — all picklable
+    scalars."""
+    source, config, model, gc_interval, poison, max_instructions, sink = payload
     return compile_and_run(source, config, model, gc_interval=gc_interval,
                            poison=poison, max_instructions=max_instructions,
                            sink=sink)
@@ -186,12 +184,12 @@ def matrix_cells(source: str, models: tuple[str, ...] = DEFAULT_MODELS,
             if config == REFERENCE_CONFIG and model == primary:
                 continue  # that cell *is* the reference
             cells.append(("plain", (source, config, model, 0, True,
-                                    max_instructions)))
+                                    max_instructions, False)))
     for model in (adv_models or (primary,)):
         for config in ADVERSARIAL_CONFIGS:
             cells.append(("adversarial", (source, config, model,
                                           adv_interval, True,
-                                          max_instructions)))
+                                          max_instructions, False)))
     for config in SINK_CONFIGS:
         cells.append(("sink", (source, config, primary, 0, True,
                                max_instructions, True)))
@@ -273,7 +271,7 @@ def mismatch_predicate(signature: tuple[str, str, str] | None = None,
 
     def pred(source: str) -> bool:
         ref, = run_cells([(source, REFERENCE_CONFIG, model, 0, True,
-                           max_instructions)], workers=1)
+                           max_instructions, False)], workers=1)
         if ref.status != "ok":
             return kind == "reference"
         gc_interval = adv_interval if kind.endswith("adversarial") else 0

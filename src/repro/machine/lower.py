@@ -25,6 +25,7 @@ from ..cfront.ctypes import (
 from ..cfront.errors import CFrontError
 from ..cfront.symbols import Symbol, SymbolTable
 from .ir import FrameSlot, GlobalVar, Inst, IRFunc, IRProgram, Vreg
+from .opt.local import eval_bin, eval_un
 
 MAX_REG_ARGS = 6
 
@@ -602,8 +603,8 @@ class Lowerer:
             self.fn.emit(Inst("store", args=(value, loc.addr), width=loc.width))
             return value
         # Compound assignment: evaluate target address once.
-        op = {"+=": "add", "-=": "sub", "*=": "mul", "/=": "div", "%=": "mod",
-              "&=": "and", "|=": "or", "^=": "xor", "<<=": "shl", ">>=": "shr"}[e.op]
+        op = _bin_subop(e.op[:-1], _operand_type(e.target),
+                        _operand_type(e.value))
         binding = self._binding_for_simple(e.target)
         rhs = self._expr(e.value)
         if target_t is not None and target_t.is_pointer and op in ("add", "sub"):
@@ -704,20 +705,13 @@ class Lowerer:
             return dst
         raise LowerError(f"unary operator {e.op!r}")
 
-    _BIN_MAP = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
-                "&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
-                "==": "eq", "!=": "ne", "<": "lt", "<=": "le",
-                ">": "gt", ">=": "ge"}
-
     def _lower_binary(self, e: A.Binary) -> Vreg:
         fn = self.fn
         if e.op in ("&&", "||"):
             return self._lower_logical(e)
-        left_t = e.left.ctype.decay() if e.left.ctype is not None else INT
-        right_t = e.right.ctype.decay() if e.right.ctype is not None else INT
+        left_t, right_t = _operand_type(e.left), _operand_type(e.right)
         left = self._expr(e.left)
         right = self._expr(e.right)
-        subop = self._BIN_MAP[e.op]
         if e.op in ("+", "-"):
             if left_t.is_pointer and right_t.is_pointer:
                 diff = fn.new_vreg()
@@ -733,16 +727,9 @@ class Lowerer:
                 right = self._scale(right, left_t.target.size)  # type: ignore[union-attr]
             elif right_t.is_pointer:
                 left = self._scale(left, right_t.target.size)  # type: ignore[union-attr]
-        if e.op in ("<", "<=", ">", ">="):
-            unsigned = (left_t.is_pointer or right_t.is_pointer
-                        or (isinstance(left_t, IntType) and not left_t.signed)
-                        or (isinstance(right_t, IntType) and not right_t.signed))
-            if unsigned:
-                subop = "u" + subop
-        if e.op == ">>" and isinstance(left_t, IntType) and not left_t.signed:
-            subop = "shru"  # logical shift for unsigned operands
         dst = fn.new_vreg()
-        fn.emit(Inst("bin", dst=dst, subop=subop, args=(left, right)))
+        fn.emit(Inst("bin", dst=dst, subop=_bin_subop(e.op, left_t, right_t),
+                     args=(left, right)))
         return dst
 
     def _lower_logical(self, e: A.Binary) -> Vreg:
@@ -805,20 +792,18 @@ class Lowerer:
     def _normalize_narrow(self, binding: Vreg, ctype: CType | None) -> None:
         """Re-normalize a register-resident char/short after in-place
         arithmetic (wraparound semantics of the narrow type)."""
-        if isinstance(ctype, IntType) and ctype.size < 4:
-            subop = ("sext" if ctype.signed else "zext") + str(ctype.size * 8)
+        subop = _narrow_subop(ctype)
+        if subop is not None:
             self.fn.emit(Inst("un", dst=binding, subop=subop, args=(binding,)))
 
     def _coerce(self, value: Vreg, src: CType | None, dst: CType | None) -> Vreg:
         """Integer narrowing/sign-extension on explicit conversions."""
-        if dst is None or src is None:
+        subop = _narrow_subop(dst)
+        if subop is None or src is None:
             return value
-        if isinstance(dst, IntType) and dst.size < 4:
-            out = self.fn.new_vreg()
-            subop = ("sext" if dst.signed else "zext") + str(dst.size * 8)
-            self.fn.emit(Inst("un", dst=out, subop=subop, args=(value,)))
-            return out
-        return value
+        out = self.fn.new_vreg()
+        self.fn.emit(Inst("un", dst=out, subop=subop, args=(value,)))
+        return out
 
     def _lower_keep_live(self, e: A.KeepLive) -> Vreg:
         value = self._expr(e.value)
@@ -845,30 +830,62 @@ def _access_shape(ctype: CType | None) -> tuple[int, bool]:
     return 4, True
 
 
+# C binary operators and their IR subops; _bin_subop picks the
+# unsigned variants.
+_BIN_MAP = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
+            "&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
+            "==": "eq", "!=": "ne", "<": "lt", "<=": "le",
+            ">": "gt", ">=": "ge"}
+
+
+def _bin_subop(op: str, left_t: CType, right_t: CType) -> str:
+    """The IR subop of C operator ``op`` on operands of these types: a
+    compare with a pointer or unsigned operand compares unsigned, and
+    ``>>`` of an unsigned left operand shifts logically."""
+    subop = _BIN_MAP[op]
+    if op in ("<", "<=", ">", ">="):
+        if (left_t.is_pointer or right_t.is_pointer
+                or (isinstance(left_t, IntType) and not left_t.signed)
+                or (isinstance(right_t, IntType) and not right_t.signed)):
+            return "u" + subop
+    elif op == ">>" and isinstance(left_t, IntType) and not left_t.signed:
+        return "shru"
+    return subop
+
+
+def _operand_type(e: A.Expr) -> CType:
+    return e.ctype.decay() if e.ctype is not None else INT
+
+
+def _narrow_subop(ctype: CType | None) -> str | None:
+    """The extension that keeps a char or short in range, if any."""
+    if isinstance(ctype, IntType) and ctype.size < 4:
+        return ("sext" if ctype.signed else "zext") + str(ctype.size * 8)
+    return None
+
+
 def _const_value(e: A.Expr) -> int | None:
-    if isinstance(e, A.IntLit):
-        return e.value
-    if isinstance(e, A.CharLit):
-        return e.value
+    """Fold a global initializer or ``case`` label to the masked 32-bit
+    value the same expression computes in a function body (the machine's
+    operator table, with the subops lowering emits); None if it is not
+    a supported constant, such as pointer arithmetic or a zero divisor."""
+    if isinstance(e, (A.IntLit, A.CharLit)):
+        return e.value & 0xFFFFFFFF
     if isinstance(e, A.Unary) and e.op == "-":
         inner = _const_value(e.operand)
-        return None if inner is None else -inner
+        return None if inner is None else eval_un("neg", inner)
     if isinstance(e, A.Cast):
-        return _const_value(e.operand)
+        inner = _const_value(e.operand)
+        subop = _narrow_subop(e.to_type)
+        return inner if inner is None or subop is None else eval_un(subop, inner)
     if isinstance(e, A.SizeofType):
         return e.of_type.size
-    if isinstance(e, A.Binary):
+    if isinstance(e, A.Binary) and e.op in _BIN_MAP:
+        left_t, right_t = _operand_type(e.left), _operand_type(e.right)
         a, b = _const_value(e.left), _const_value(e.right)
-        if a is None or b is None:
+        if a is None or b is None or left_t.is_pointer or right_t.is_pointer:
             return None
-        try:
-            return {
-                "+": a + b, "-": a - b, "*": a * b,
-                "/": a // b if b else None, "%": a % b if b else None,
-                "<<": a << b, ">>": a >> b, "&": a & b, "|": a | b, "^": a ^ b,
-            }[e.op]
-        except KeyError:
-            return None
+        return eval_bin(_bin_subop(e.op, left_t, right_t), a, b)
     return None
 
 

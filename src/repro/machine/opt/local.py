@@ -10,92 +10,26 @@ subsequently recomputing it" — the paper's condition (2).
 
 from __future__ import annotations
 
-from ..ir import BIN_OPS, COMMUTATIVE, Inst, IRFunc, Vreg, basic_blocks
+from ..codegen import _BIN_TO_M
+from ..ir import COMMUTATIVE, Inst, IRFunc, Vreg, basic_blocks
+from ..vm import ALU_FUNCS, UNARY_FUNCS, VMError
 
 _MASK = 0xFFFFFFFF
 
 
-def _signed(x: int) -> int:
-    x &= _MASK
-    return x - (1 << 32) if x >= 1 << 31 else x
-
-
 def eval_bin(subop: str, a: int, b: int) -> int | None:
-    """Evaluate a binary subop on 32-bit values (None: cannot fold)."""
-    sa, sb = _signed(a), _signed(b)
+    """Evaluate a binary IR subop on 32-bit values with the machine's
+    own table (None: division by zero, which must trap at run time)."""
     try:
-        if subop == "add":
-            return (a + b) & _MASK
-        if subop == "sub":
-            return (a - b) & _MASK
-        if subop == "mul":
-            return (a * b) & _MASK
-        if subop == "div":
-            if sb == 0:
-                return None
-            q = abs(sa) // abs(sb)
-            return (q if (sa < 0) == (sb < 0) else -q) & _MASK
-        if subop == "mod":
-            if sb == 0:
-                return None
-            q = abs(sa) // abs(sb)
-            q = q if (sa < 0) == (sb < 0) else -q
-            return (sa - q * sb) & _MASK
-        if subop == "and":
-            return a & b
-        if subop == "or":
-            return a | b
-        if subop == "xor":
-            return a ^ b
-        if subop == "shl":
-            return (a << (b & 31)) & _MASK
-        if subop == "shr":
-            return (sa >> (b & 31)) & _MASK
-        if subop == "shru":
-            return (a >> (b & 31)) & _MASK
-        if subop == "eq":
-            return int(a == b)
-        if subop == "ne":
-            return int(a != b)
-        if subop == "lt":
-            return int(sa < sb)
-        if subop == "le":
-            return int(sa <= sb)
-        if subop == "gt":
-            return int(sa > sb)
-        if subop == "ge":
-            return int(sa >= sb)
-        if subop == "ult":
-            return int(a < b)
-        if subop == "ule":
-            return int(a <= b)
-        if subop == "ugt":
-            return int(a > b)
-        if subop == "uge":
-            return int(a >= b)
-    except (OverflowError, ZeroDivisionError):
+        return ALU_FUNCS[_BIN_TO_M[subop]](a & _MASK, b & _MASK)
+    except VMError:
         return None
-    return None
 
 
 def eval_un(subop: str, a: int) -> int:
-    if subop == "neg":
-        return (-a) & _MASK
-    if subop == "bnot":
-        return (~a) & _MASK
-    if subop == "not":
-        return int(a == 0)
-    if subop == "sext8":
-        v = a & 0xFF
-        return (v - 0x100 if v >= 0x80 else v) & _MASK
-    if subop == "zext8":
-        return a & 0xFF
-    if subop == "sext16":
-        v = a & 0xFFFF
-        return (v - 0x10000 if v >= 0x8000 else v) & _MASK
-    if subop == "zext16":
-        return a & 0xFFFF
-    raise ValueError(subop)
+    """Evaluate a unary IR subop (named as its machine op) on a 32-bit
+    value with the machine's own table."""
+    return UNARY_FUNCS[subop](a & _MASK)
 
 
 class _BlockState:

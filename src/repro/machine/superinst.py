@@ -7,9 +7,10 @@ one closure call per MInst.  In hot inner blocks that toll dominates —
 the arithmetic inside the closures is cheap compared to the dispatch
 around them.  A *superinstruction* collapses a straight-line run of
 fusable instructions into a single ``exec``-compiled closure: registers
-are cached in Python locals across the run, loads/stores keep their
-page-cache fast path inline, and the loop dispatches once for the
-whole run.
+are cached in Python locals across the run, ALU and unary ops are the
+operator table's expressions (``vm.ALU_EXPRS``/``UNARY_EXPRS``) over
+those locals, loads/stores keep their page-cache fast path inline, and
+the loop dispatches once for the whole run.
 
 A run may contain conditional branches as *early exits*: the fused
 closure evaluates the condition inline, and on a taken branch writes
@@ -61,9 +62,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
-from ..gc.memory import MemoryFault
 from .asm import ALU_OPS, BRANCH_OPS, MInst, UNARY_OPS
-from .vm import ALU_FUNCS, UNARY_FUNCS, VMError, _MASK, _RET_PC
+from .vm import ALU_EXPRS, UNARY_EXPRS, VMError, _MASK, _OP_HELPERS, _RET_PC
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
@@ -90,33 +90,6 @@ _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
 _STRAIGHT_OPS = frozenset((*_NO_CODE_OPS, "li", "mov", "ld", "st",
                            *ALU_OPS, *UNARY_OPS))
-
-# ALU/unary ops whose semantics are inlined as expressions; the rest
-# (div/mod/signed compares/shifts with sign handling) call the bound
-# semantic function from vm.py, preserving error messages exactly.
-_INLINE_RR = {
-    "add": "({a} + {b}) & 4294967295",
-    "sub": "({a} - {b}) & 4294967295",
-    "mul": "({a} * {b}) & 4294967295",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "shl": "(({a}) << ({b} & 31)) & 4294967295",
-    "srl": "({a}) >> ({b} & 31)",
-    "seq": "1 if {a} == {b} else 0",
-    "sne": "1 if {a} != {b} else 0",
-    "sltu": "1 if {a} < {b} else 0",
-    "sleu": "1 if {a} <= {b} else 0",
-    "sgtu": "1 if {a} > {b} else 0",
-    "sgeu": "1 if {a} >= {b} else 0",
-}
-_INLINE_UNARY = {
-    "neg": "(-({a})) & 4294967295",
-    "bnot": "(~({a})) & 4294967295",
-    "not": "1 if {a} == 0 else 0",
-    "zext8": "({a}) & 255",
-    "zext16": "({a}) & 65535",
-}
 
 # Little-endian codecs for the inline page fast path of ld/st, keyed
 # by (width, signed) and width.  ``unpack_from`` reads the page in place:
@@ -222,8 +195,9 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         "_ST": vm._st,
         "_PG": vm.memory._pages,
         "_ERR": VMError,
-        "_LD": _make_slow_load(vm),
-        "_STO": _make_slow_store(vm),
+        "_LD": vm._load,
+        "_STO": vm._store,
+        **_OP_HELPERS,
     }
     bound: dict[int, str] = {}
 
@@ -400,20 +374,10 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                 b = rd(inst.rs2)
             else:
                 b = str((inst.imm or 0) & _MASK)
-            tmpl = _INLINE_RR.get(op)
-            if tmpl is not None:
-                expr = tmpl.format(a=a, b=b)
-            else:
-                expr = f"{bind(ALU_FUNCS[op])}({a}, {b})"
-            body.append(f"    {wr(inst.rd)} = {expr}")
+            body.append(f"    {wr(inst.rd)} = {ALU_EXPRS[op].format(a=a, b=b)}")
         elif op in UNARY_OPS:
             a = rd(inst.rs1)
-            tmpl = _INLINE_UNARY.get(op)
-            if tmpl is not None:
-                expr = tmpl.format(a=a)
-            else:
-                expr = f"{bind(UNARY_FUNCS[op])}({a})"
-            body.append(f"    {wr(inst.rd)} = {expr}")
+            body.append(f"    {wr(inst.rd)} = {UNARY_EXPRS[op].format(a=a)}")
         elif op == "ld":
             base = rd(inst.rs1)
             idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
@@ -467,24 +431,3 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     # a reference cycle that only Python's cyclic collector frees.
     return ns.pop("_super")
 
-
-def _make_slow_load(vm):
-    mem = vm.memory
-
-    def _ld(a, width, signed):
-        try:
-            return mem.load(a, width, signed) & _MASK
-        except MemoryFault:
-            raise VMError(f"load fault at 0x{a:08x}") from None
-    return _ld
-
-
-def _make_slow_store(vm):
-    mem = vm.memory
-
-    def _st(a, value, width):
-        try:
-            mem.store(a, value, width)
-        except MemoryFault:
-            raise VMError(f"store fault at 0x{a:08x}") from None
-    return _st

@@ -23,6 +23,14 @@ overhead changes.
 Hot code goes one step further: a straight-line run of closures that
 is entered often enough is replaced by one ``exec``-compiled
 superinstruction with the same counts (``machine/superinst.py``).
+
+What each ALU and unary op computes is written once, as one Python
+expression in ``ALU_EXPRS``/``UNARY_EXPRS``.  The plain closures and
+the fused runs are compiled from that text, and the optimizer folds
+constants with it (``opt.local.eval_bin``), so a folded constant is the
+value the machine would have computed.  Loads and stores keep one fast
+path per tier (page slices here, ``struct`` codecs in fused runs) and
+share one slow path, ``VM._load``/``VM._store``.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
 from ..obs.vmprof import CHECK_BUILTINS, VMProfile
-from .asm import ALU_OPS, ARG_REGS, BRANCH_OPS, FP, MInst, MProgram, RV, SCRATCH, SP, UNARY_OPS
+from .asm import ALU_OPS, ARG_REGS, FP, MInst, MProgram, RV, SCRATCH, SP, UNARY_OPS
 from .models import MachineModel, SPARC_10
 
 FUNC_BASE = 0x0400_0000
@@ -76,7 +84,7 @@ def _s32(x: int) -> int:
     return x - 0x1_0000_0000 if x >= 0x8000_0000 else x
 
 
-def _alu_div(a: int, b: int) -> int:
+def _div(a: int, b: int) -> int:
     sa, sb = _s32(a), _s32(b)
     if sb == 0:
         raise VMError("integer division by zero in div")
@@ -84,7 +92,7 @@ def _alu_div(a: int, b: int) -> int:
     return (q if (sa < 0) == (sb < 0) else -q) & _MASK
 
 
-def _alu_mod(a: int, b: int) -> int:
+def _mod(a: int, b: int) -> int:
     sa, sb = _s32(a), _s32(b)
     if sb == 0:
         raise VMError("integer division by zero in mod")
@@ -93,41 +101,83 @@ def _alu_mod(a: int, b: int) -> int:
     return (sa - q * sb) & _MASK
 
 
-# Two-operand ALU semantics on masked 32-bit values (C truncating
-# division; the same semantics `opt.local.eval_bin` folds with).
-ALU_FUNCS = {
-    "add": lambda a, b: (a + b) & _MASK,
-    "sub": lambda a, b: (a - b) & _MASK,
-    "mul": lambda a, b: (a * b) & _MASK,
-    "div": _alu_div,
-    "mod": _alu_mod,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: (a << (b & 31)) & _MASK,
-    "shr": lambda a, b: (_s32(a) >> (b & 31)) & _MASK,
-    "srl": lambda a, b: a >> (b & 31),
-    "seq": lambda a, b: int(a == b),
-    "sne": lambda a, b: int(a != b),
-    "slt": lambda a, b: int(_s32(a) < _s32(b)),
-    "sle": lambda a, b: int(_s32(a) <= _s32(b)),
-    "sgt": lambda a, b: int(_s32(a) > _s32(b)),
-    "sge": lambda a, b: int(_s32(a) >= _s32(b)),
-    "sltu": lambda a, b: int(a < b),
-    "sleu": lambda a, b: int(a <= b),
-    "sgtu": lambda a, b: int(a > b),
-    "sgeu": lambda a, b: int(a >= b),
+# What each ALU and unary op computes: a Python expression over masked
+# 32-bit operands {a} and {b} whose value is the masked result (C
+# truncating division).  Operands are substituted as atoms (a name, a
+# subscript or a non-negative literal), so none needs parentheses; the
+# expressions call no helper but _OP_HELPERS.
+ALU_EXPRS = {
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "mul": "({a} * {b}) & 4294967295",
+    "div": "_div({a}, {b})",
+    "mod": "_mod({a}, {b})",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "({a} << ({b} & 31)) & 4294967295",
+    "shr": "(_s32({a}) >> ({b} & 31)) & 4294967295",
+    "srl": "{a} >> ({b} & 31)",
+    "seq": "1 if {a} == {b} else 0",
+    "sne": "1 if {a} != {b} else 0",
+    "slt": "1 if _s32({a}) < _s32({b}) else 0",
+    "sle": "1 if _s32({a}) <= _s32({b}) else 0",
+    "sgt": "1 if _s32({a}) > _s32({b}) else 0",
+    "sge": "1 if _s32({a}) >= _s32({b}) else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "sleu": "1 if {a} <= {b} else 0",
+    "sgtu": "1 if {a} > {b} else 0",
+    "sgeu": "1 if {a} >= {b} else 0",
 }
+UNARY_EXPRS = {
+    "neg": "-{a} & 4294967295",
+    "not": "1 if {a} == 0 else 0",
+    "bnot": "~{a} & 4294967295",
+    # A set sign bit fills the upper bits; {a} has none above bit 31.
+    "sext8": "{a} | 4294967040 if {a} & 128 else {a} & 255",
+    "zext8": "{a} & 255",
+    "sext16": "{a} | 4294901760 if {a} & 32768 else {a} & 65535",
+    "zext16": "{a} & 65535",
+}
+_OP_HELPERS = {"_s32": _s32, "_div": _div, "_mod": _mod}
 
-UNARY_FUNCS = {
-    "neg": lambda a: (-a) & _MASK,
-    "not": lambda a: int(a == 0),
-    "bnot": lambda a: (~a) & _MASK,
-    "sext8": lambda a: ((a & 0xFF) - 0x100 if a & 0x80 else a & 0xFF) & _MASK,
-    "zext8": lambda a: a & 0xFF,
-    "sext16": lambda a: ((a & 0xFFFF) - 0x10000 if a & 0x8000 else a & 0xFFFF) & _MASK,
-    "zext16": lambda a: a & 0xFFFF,
-}
+
+def _op_functions(exprs: dict[str, str], params: str) -> dict:
+    """Each table expression as a function of ``params``."""
+    items = ", ".join(f"{op!r}: lambda {params}: {expr.format(a='a', b='b')}"
+                      for op, expr in exprs.items())
+    return eval("{" + items + "}", dict(_OP_HELPERS))
+
+
+ALU_FUNCS = _op_functions(ALU_EXPRS, "a, b")
+UNARY_FUNCS = _op_functions(UNARY_EXPRS, "a")
+
+# The plain tier's closure factories, one per (op, operand form), each
+# compiled from the table on first use.  Forms: "rr" (two registers),
+# "ri" (register and immediate), "r" (unary; ``src2`` is unused).
+_FACTORY_TEMPLATE = """\
+def make(regs, st, rd, rs1, src2, cost):
+    def op(pc):
+        regs[rd] = {expr}
+        st[1] += cost
+        return pc + 1
+    return op
+"""
+_FACTORIES: dict[tuple[str, str], object] = {}
+
+
+def _op_factory(op: str, form: str):
+    """``make(regs, st, rd, rs1, src2, cost)`` for ``op`` in ``form``:
+    it returns the closure that executes one such instruction."""
+    factory = _FACTORIES.get((op, form))
+    if factory is None:
+        expr = (UNARY_EXPRS if form == "r" else ALU_EXPRS)[op].format(
+            a="regs[rs1]", b="regs[src2]" if form == "rr" else "src2")
+        ns = dict(_OP_HELPERS)
+        exec(compile(_FACTORY_TEMPLATE.format(expr=expr),
+                     f"<{op}_{form}>", "exec"), ns)
+        factory = _FACTORIES[op, form] = ns["make"]
+    return factory
 
 
 class VM:
@@ -345,8 +395,9 @@ class VM:
         closures; closure i executes inst i and returns the next pc."""
         regs = self.regs
         st = self._st
-        mem = self.memory
-        pages = mem._pages
+        pages = self.memory._pages
+        load = self._load
+        store = self._store
         model = self.model
         vm = self
 
@@ -372,68 +423,16 @@ class VM:
                 raise VMError(f"undefined symbol {symbol!r}")
             return op
 
-        def make_add_ri(rd, rs1, imm, cost):
-            def op(pc):
-                regs[rd] = (regs[rs1] + imm) & _MASK
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_add_rr(rd, rs1, rs2, cost):
-            def op(pc):
-                regs[rd] = (regs[rs1] + regs[rs2]) & _MASK
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_sub_ri(rd, rs1, imm, cost):
-            def op(pc):
-                regs[rd] = (regs[rs1] - imm) & _MASK
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_sub_rr(rd, rs1, rs2, cost):
-            def op(pc):
-                regs[rd] = (regs[rs1] - regs[rs2]) & _MASK
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_alu_ri(fn, rd, rs1, imm, cost):
-            def op(pc):
-                regs[rd] = fn(regs[rs1], imm)
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_alu_rr(fn, rd, rs1, rs2, cost):
-            def op(pc):
-                regs[rd] = fn(regs[rs1], regs[rs2])
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_unary(fn, rd, rs1, cost):
-            def op(pc):
-                regs[rd] = fn(regs[rs1])
-                st[1] += cost
-                return pc + 1
-            return op
-
+        # Loads and stores read and write the page in place; page-
+        # crossing and unmapped accesses take VM._load / VM._store.
         def make_ld_word(rd, rs1, rs2, imm, cost):
-            # The dominant load: aligned-in-page 4-byte word.  Falls
-            # back to Memory.load for page-crossing or unmapped access.
+            # The dominant load: aligned-in-page 4-byte word.
             def op(pc):
                 a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
                 off = a & 0xFFF
                 page = pages.get(a >> 12)
                 if page is None or off > 0xFFC:
-                    try:
-                        v = mem.load(a, 4, False)
-                    except MemoryFault:
-                        raise VMError(f"load fault at 0x{a:08x}") from None
-                    regs[rd] = v & _MASK
+                    regs[rd] = load(a, 4, False)
                 else:
                     regs[rd] = int.from_bytes(page[off:off + 4], "little")
                 st[1] += cost
@@ -446,11 +445,7 @@ class VM:
                 off = a & 0xFFF
                 page = pages.get(a >> 12)
                 if page is None or off + width > 0x1000:
-                    try:
-                        v = mem.load(a, width, signed)
-                    except MemoryFault:
-                        raise VMError(f"load fault at 0x{a:08x}") from None
-                    regs[rd] = v & _MASK
+                    regs[rd] = load(a, width, signed)
                 else:
                     regs[rd] = int.from_bytes(
                         page[off:off + width], "little", signed=signed) & _MASK
@@ -459,19 +454,15 @@ class VM:
             return op
 
         def make_st(rd, rs1, rs2, imm, width, cost):
-            nbytes = width
             vmask = (1 << (8 * width)) - 1
             def op(pc):
                 a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
                 off = a & 0xFFF
                 page = pages.get(a >> 12)
-                if page is None or off + nbytes > 0x1000:
-                    try:
-                        mem.store(a, regs[rd], nbytes)
-                    except MemoryFault:
-                        raise VMError(f"store fault at 0x{a:08x}") from None
+                if page is None or off + width > 0x1000:
+                    store(a, regs[rd], width)
                 else:
-                    page[off:off + nbytes] = (regs[rd] & vmask).to_bytes(nbytes, "little")
+                    page[off:off + width] = (regs[rd] & vmask).to_bytes(width, "little")
                 st[1] += cost
                 return pc + 1
             return op
@@ -578,24 +569,13 @@ class VM:
                 ops.append(make_mov(inst.rd, inst.rs1, cost))
             elif op in ALU_OPS:
                 if inst.rs2 is not None:
-                    if op == "add":
-                        ops.append(make_add_rr(inst.rd, inst.rs1, inst.rs2, cost))
-                    elif op == "sub":
-                        ops.append(make_sub_rr(inst.rd, inst.rs1, inst.rs2, cost))
-                    else:
-                        ops.append(make_alu_rr(ALU_FUNCS[op], inst.rd,
-                                               inst.rs1, inst.rs2, cost))
+                    make, src2 = _op_factory(op, "rr"), inst.rs2
                 else:
-                    imm = (inst.imm or 0) & _MASK
-                    if op == "add":
-                        ops.append(make_add_ri(inst.rd, inst.rs1, imm, cost))
-                    elif op == "sub":
-                        ops.append(make_sub_ri(inst.rd, inst.rs1, imm, cost))
-                    else:
-                        ops.append(make_alu_ri(ALU_FUNCS[op], inst.rd,
-                                               inst.rs1, imm, cost))
+                    make, src2 = _op_factory(op, "ri"), (inst.imm or 0) & _MASK
+                ops.append(make(regs, st, inst.rd, inst.rs1, src2, cost))
             elif op in UNARY_OPS:
-                ops.append(make_unary(UNARY_FUNCS[op], inst.rd, inst.rs1, cost))
+                ops.append(_op_factory(op, "r")(regs, st, inst.rd, inst.rs1,
+                                                None, cost))
             elif op == "ld":
                 if inst.width == 4:  # signedness is irrelevant under the 32-bit mask
                     ops.append(make_ld_word(inst.rd, inst.rs1, inst.rs2,
@@ -735,15 +715,8 @@ class VM:
             raise VMError(f"call to undefined function {name!r}")
         _exec_loop(self, ops)
 
-    def _symbol_addr(self, symbol: str) -> int:
-        addr = self.global_addr.get(symbol)
-        if addr is not None:
-            return addr
-        fa = self.func_addr.get(symbol)
-        if fa is not None:
-            return fa
-        raise VMError(f"undefined symbol {symbol!r}")
-
+    # The slow path of every load and store, plain or fused: accesses
+    # that cross a page or touch an unmapped one.
     def _load(self, addr: int, width: int, signed: bool) -> int:
         try:
             return self.memory.load(addr, width, signed) & _MASK

@@ -90,10 +90,6 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
         # percentile and allocation-size sections from the trace alone.
         tracer.instant("gc.stats", **collector.stats.to_dict())
         tracer.instant("obs.metrics", metrics=metrics.to_dict())
-        if profile is not None:
-            # Embed the full per-block profile, so the trace alone
-            # carries the run's hot spots.
-            tracer.instant("vm.profile", profile=profile.to_dict())
     finally:
         runtime.reset()
         if vm is not None:

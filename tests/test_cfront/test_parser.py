@@ -130,6 +130,25 @@ class TestStructsEnumsTypedefs:
         tu = parse("enum e { A, B = 10, C }; int x[C];")
         assert tu.items[1].declarators[0].ctype.length == 11
 
+    @pytest.mark.parametrize("expr, value", [
+        ("-7 / 2", -3), ("7 / -2", -3), ("-7 % 2", -1), ("7 % -2", 1),
+        ("-8 >> 1", -4), ("3 << 2", 12),
+    ])
+    def test_constant_expressions_use_c_arithmetic(self, expr, value):
+        tu = parse(f"enum e {{ A = {expr} }}; int x[A + 10];")
+        assert tu.items[1].declarators[0].ctype.length == value + 10
+
+    @pytest.mark.parametrize("source, message", [
+        ("enum e { A = 1 / 0 };", "division by zero"),
+        ("int x[1 % 0];", "division by zero"),
+        ("int x[1 << -1];", "negative shift count"),
+        ("enum e { A = 8 >> -2 };", "negative shift count"),
+    ])
+    def test_constant_expression_errors_are_parse_errors(self, source,
+                                                         message):
+        with pytest.raises(ParseError, match=message):
+            parse(source)
+
     def test_duplicate_struct_field_raises(self):
         with pytest.raises(ValueError):
             parse("struct s { int a; int a; };")

@@ -141,6 +141,34 @@ class TestCcCommand:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source, message", [
+        ("enum { A = 1 / 0 };\nint main(void) { return A; }",
+         "division by zero in constant expression"),
+        ("int a[1 << -1];\nint main(void) { return 0; }",
+         "negative shift count in constant expression"),
+    ])
+    def test_constant_expression_errors_are_diagnostics(self, tmp_path,
+                                                        capsys, source,
+                                                        message):
+        path = tmp_path / "bad.c"
+        path.write_text(source)
+        assert main(["cc", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", [
+        "int g = 7 - -3;\nint main(void) { return g; }",
+        "int main(void) { int v = 3; switch (v) { case 1 - -2: return 10; } "
+        "return 0; }",
+    ])
+    def test_folded_negative_operands_compile(self, tmp_path, capsys,
+                                              source):
+        path = tmp_path / "neg.c"
+        path.write_text(source)
+        assert main(["cc", str(path)]) == 10
+        assert "exit=10" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_bench_single_workload(self, capsys):

@@ -205,3 +205,56 @@ class TestStaticLocals:
         result = VM(compiled.asm, collector=gc).run()
         assert result.exit_code == 55
         assert result.collections >= 1
+
+
+def run_output(src, config):
+    from repro.machine import CompileConfig, VM, compile_source
+    compiled = compile_source(src, CompileConfig.named(config))
+    return VM(compiled.asm).run().output
+
+
+class TestConstantFolding:
+    """A global initializer and a ``case`` label fold to the value the
+    same expression computes in a function body (run by the VM at O0,
+    folded by the optimizer at O)."""
+
+    @pytest.mark.parametrize("expr, value", [
+        ("-7 / 2", 0xFFFFFFFD),
+        ("-7 % 2", 0xFFFFFFFF),
+        ("0x80000000 >> 4", 0xF8000000),      # the literal is an int
+        ("(unsigned)0xFFFFFFF0 >> 4", 0x0FFFFFFF),
+        ("1 << 32", 1),                       # shift count masked to 5 bits
+        ("7 - -3", 10),
+        ("1 - -2", 3),
+        ("(unsigned)-1 < 1", 0),
+        ("-1 < 1", 1),
+        ("(char)200", 0xFFFFFFC8),
+        ("(unsigned short)-1", 0xFFFF),
+    ])
+    @pytest.mark.parametrize("config", ["O0", "O"])
+    def test_global_case_and_body_agree(self, expr, value, config):
+        src = (f"int g = {expr};\n"
+               f"int pick(int v) {{ switch (v) {{ case {expr}: return 1; }} "
+               f"return 0; }}\n"
+               f"int main(void) {{ int v = {expr}; "
+               f'printf("%x %x %d\\n", g, v, pick(v)); return 0; }}')
+        assert run_output(src, config) == f"{value:x} {value:x} 1\n"
+
+    @pytest.mark.parametrize("config", ["O0", "O"])
+    def test_compound_shift_of_unsigned_is_logical(self, config):
+        src = ("int main(void) { unsigned u = 0x80000000; "
+               "int s = 0x80000000; u >>= 4; s >>= 4; "
+               'printf("%x %x %x\\n", u, s, (unsigned)0x80000000 >> 4); '
+               "return 0; }")
+        assert run_output(src, config) == "8000000 f8000000 8000000\n"
+
+    @pytest.mark.parametrize("src, message", [
+        ("int g = 1 / 0;", "not a supported constant"),
+        ("int g = 1 % 0;", "not a supported constant"),
+        ("int *p = (int *)0 + 1;", "not a supported constant"),
+        ("int f(int v) { switch (v) { case 1 / 0: return 1; } return 0; }",
+         "non-constant case label"),
+    ])
+    def test_unfoldable_constants_are_diagnostics(self, src, message):
+        with pytest.raises(LowerError, match=message):
+            lower(src)

@@ -1,0 +1,131 @@
+"""One operator table: for every ALU and unary op, in every operand
+form, the plain closures, a fused run and constant folding compute the
+same value, and that value is the one an independent reference gives."""
+
+import math
+
+import pytest
+
+from repro.machine import superinst
+from repro.machine.asm import ALU_OPS, MFunc, MInst, MProgram, UNARY_OPS
+from repro.machine.codegen import _BIN_TO_M
+from repro.machine.ir import GlobalVar
+from repro.machine.opt.local import eval_bin, eval_un
+from repro.machine.vm import VM, VMError
+
+MASK = 0xFFFFFFFF
+OPERANDS = (0, 1, 31, 32, 33, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+            0x80, 0xFF, 0x8000, 0xFFFF)
+IR_SUBOP = {m: ir for ir, m in _BIN_TO_M.items()}
+
+
+def s32(x):
+    return x - (1 << 32) if x & 0x80000000 else x
+
+
+def sx(x, bits):
+    sign = 1 << (bits - 1)
+    return ((x & (2 * sign - 1)) ^ sign) - sign
+
+
+# C semantics written independently of the machine's table: float
+# truncation for / (exact for 32-bit operands) and fmod for %.
+REFERENCE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: int(s32(a) / s32(b)),
+    "mod": lambda a, b: int(math.fmod(s32(a), s32(b))),
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b % 32,
+    "shr": lambda a, b: s32(a) >> b % 32,
+    "srl": lambda a, b: a >> b % 32,
+    "seq": lambda a, b: a == b,
+    "sne": lambda a, b: a != b,
+    "slt": lambda a, b: s32(a) < s32(b),
+    "sle": lambda a, b: s32(a) <= s32(b),
+    "sgt": lambda a, b: s32(a) > s32(b),
+    "sge": lambda a, b: s32(a) >= s32(b),
+    "sltu": lambda a, b: a < b,
+    "sleu": lambda a, b: a <= b,
+    "sgtu": lambda a, b: a > b,
+    "sgeu": lambda a, b: a >= b,
+    "neg": lambda a, _: -a,
+    "not": lambda a, _: a == 0,
+    "bnot": lambda a, _: ~a,
+    "sext8": lambda a, _: sx(a, 8),
+    "zext8": lambda a, _: a & 0xFF,
+    "sext16": lambda a, _: sx(a, 16),
+    "zext16": lambda a, _: a & 0xFFFF,
+}
+
+CASES = ([(op, form) for op in sorted(ALU_OPS) for form in ("rr", "ri")]
+         + [(op, "r") for op in sorted(UNARY_OPS)])
+
+
+def program(op, form, pairs):
+    """``main`` applies ``op`` to each (a, b) and stores it to out[k]."""
+    insts = [MInst("la", rd="t3", symbol="out")]
+    for k, (a, b) in enumerate(pairs):
+        insts.append(MInst("li", rd="t0", imm=a))
+        if form == "r":
+            insts.append(MInst(op, rd="t2", rs1="t0"))
+        elif form == "rr":
+            insts.append(MInst("li", rd="t1", imm=b))
+            insts.append(MInst(op, rd="t2", rs1="t0", rs2="t1"))
+        else:
+            insts.append(MInst(op, rd="t2", rs1="t0", imm=b))
+        insts.append(MInst("st", rd="t2", rs1="t3", imm=4 * k))
+    insts.append(MInst("ret"))
+    return MProgram({"main": MFunc("main", insts)},
+                    {"out": GlobalVar("out", 4 * len(pairs))})
+
+
+def run(prog, fused, monkeypatch):
+    """Run ``main`` plain or as one fused run; return the VM."""
+    monkeypatch.setattr(superinst, "FUSE_AFTER", 1 if fused else 0)
+    vm = VM(prog)
+    try:
+        vm.run()
+    finally:
+        assert vm.fused_runs == int(fused)
+    return vm
+
+
+def results(vm, n):
+    base = vm.global_addr["out"]
+    return [vm.memory.load(base + 4 * k, 4, False) for k in range(n)]
+
+
+@pytest.mark.parametrize("op, form", CASES)
+def test_tiers_and_folding_agree(op, form, monkeypatch):
+    if form == "r":
+        pairs = [(a, 0) for a in OPERANDS]
+    else:
+        pairs = [(a, b) for a in OPERANDS for b in OPERANDS
+                 if b or op not in ("div", "mod")]
+    prog = program(op, form, pairs)
+    plain = results(run(prog, False, monkeypatch), len(pairs))
+    fused = results(run(prog, True, monkeypatch), len(pairs))
+    if form == "r":
+        folded = [eval_un(op, a) for a, _ in pairs]
+    else:
+        folded = [eval_bin(IR_SUBOP[op], a, b) for a, b in pairs]
+    expected = [int(REFERENCE[op](a, b)) & MASK for a, b in pairs]
+    assert plain == expected
+    assert fused == expected
+    assert folded == expected
+
+
+@pytest.mark.parametrize("op", ["div", "mod"])
+@pytest.mark.parametrize("form", ["rr", "ri"])
+def test_division_by_zero_traps_alike_and_does_not_fold(op, form,
+                                                        monkeypatch):
+    prog = program(op, form, [(7, 0)])
+    for fused in (False, True):
+        with pytest.raises(VMError) as exc:
+            run(prog, fused, monkeypatch)
+        assert str(exc.value) == f"integer division by zero in {op}"
+    assert eval_bin(IR_SUBOP[op], 7, 0) is None
