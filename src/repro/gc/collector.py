@@ -11,6 +11,12 @@ Semantics follow the paper's "Compiler Safety Problem Statement":
 * The "Extensions" section's alternative mode — interior pointers valid
   only when they originate from the stack or registers — is available
   via ``interior_from_roots_only``.
+
+Under adversarial schedules (a collection at every instruction
+boundary) almost every collection finds the heap unchanged, so a
+collection first replays the previous one's *witnesses*, the place
+whose word marked each object, and scans the roots only when one of
+them no longer holds (``_replay``, ``_full_mark``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import struct
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
-from .heap import Heap, PageDescriptor
+from .heap import Heap, HeapExhausted
 from .memory import HEAP_BASE, Memory, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from ..cfront.ctypes import WORD_SIZE
 from ..obs import clock as obs_clock
@@ -29,6 +35,19 @@ from ..obs.metrics import SIZE_BUCKETS
 # The clock of an unobserved collection: ``int()`` is 0, so phase times
 # cost no host-clock read and come out as 0.
 _NULL_CLOCK = int
+
+# A witness is the place whose word marked an object, as the tuple
+# ``(kind, place, pos, desc, idx, base)``: ``(_REG, provider index,
+# position in its sequence)``, ``(_ROOT, word address in a root range,
+# 0)`` or ``(_HEAP, word address inside a parent object, 0)``, then the
+# object's page descriptor, slot index and base address.
+_REG, _ROOT, _HEAP = 0, 1, 2
+
+_unpack_word = struct.Struct("<I").unpack_from
+
+
+class _AllMarked(Exception):
+    """Every object in use is marked: the full mark can stop."""
 
 
 class GCCheckError(Exception):
@@ -110,6 +129,9 @@ class Collector:
         self.interior_from_roots_only = interior_from_roots_only
         self._threshold = initial_threshold
         self._allocated_since_gc = 0
+        # One witness per object marked by the last collection, in
+        # marking order: what the next collection replays (``_replay``).
+        self._witnesses: list[tuple] = []
         self.collections_enabled = True
         # Telemetry: defaults to the process-wide tracer at construction
         # time; see ``collect`` for what tracing adds.
@@ -134,7 +156,9 @@ class Collector:
 
     def malloc(self, size: int) -> int:
         """GC_malloc: allocate zeroed memory, collecting first when the
-        allocation budget since the last collection is exhausted."""
+        allocation budget since the last collection is exhausted.  A
+        request the heap cannot hold returns 0 (NULL), as the Boehm
+        collector's default out-of-memory handler does."""
         return self._allocate(size, atomic=False)
 
     def malloc_atomic(self, size: int) -> int:
@@ -146,7 +170,10 @@ class Collector:
     def _allocate(self, size: int, atomic: bool) -> int:
         if self.collections_enabled and self._allocated_since_gc >= self._threshold:
             self.collect()
-        addr = self.heap.allocate(size, atomic=atomic)
+        try:
+            addr = self.heap.allocate(size, atomic=atomic)
+        except HeapExhausted:
+            return 0
         self.stats.bytes_allocated += size
         self.stats.objects_allocated += 1
         self._allocated_since_gc += size
@@ -159,7 +186,8 @@ class Collector:
 
     def realloc(self, addr: int, new_size: int) -> int:
         """GC_realloc: grow/shrink by copy; old object is simply dropped
-        (the collector reclaims it)."""
+        (the collector reclaims it).  When the new object cannot be
+        allocated, returns 0 and copies nothing."""
         if addr == 0:
             return self.malloc(new_size)
         old_base = self.heap.base_of(addr)
@@ -167,6 +195,8 @@ class Collector:
             raise GCCheckError(f"realloc of non-heap address 0x{addr:08x}")
         old_size = self.heap.size_of(old_base) or 0
         new_addr = self.malloc(new_size)
+        if not new_addr:
+            return 0
         data = self.memory.read_bytes(old_base, min(old_size, new_size))
         self.memory.write_bytes(new_addr, data)
         return new_addr
@@ -174,13 +204,16 @@ class Collector:
     # -- collection ----------------------------------------------------------------
 
     def collect(self) -> int:
-        """Run a full mark-sweep collection; return objects reclaimed.
+        """Run a mark-sweep collection; return objects reclaimed.
 
-        The simulated counts land in :attr:`stats`.  Wall-clock phase
-        times go to the ``gc.collect`` span (with the heap-occupancy
-        counters that draw the timeline) and to the metrics registry's
-        ``gc.*_ns`` histograms; with neither on, the phases are timed by
-        a null clock and the host clock is never read.
+        The mark replays the last collection's witnesses and runs the
+        full mark only when they do not mark every object in use; either
+        way the marked set is the full mark's.  The simulated counts
+        land in :attr:`stats`.  Wall-clock phase times go to the
+        ``gc.collect`` span (with the heap-occupancy counters that draw
+        the timeline) and to the metrics registry's ``gc.*_ns``
+        histograms; with neither on, the phases are timed by a null
+        clock and the host clock is never read.
         """
         stats, heap, tracer = self.stats, self.heap, self.tracer
         metrics = obs_runtime.get_metrics()
@@ -189,17 +222,23 @@ class Collector:
         alloc_since = self._allocated_since_gc
         stats.collections += 1
         with tracer.span("gc.collect", number=stats.collections) as span:
+            # Phases: root-scan is the witness replay, mark the full
+            # mark that runs when the replay fails.
             t0 = clock()
-            root_scan_ns = self._mark(clock)
+            replayed = self._replay()
             t1 = clock()
-            reclaimed = self._sweep()
+            if not replayed:
+                self._witnesses = self._full_mark()
+            stats.marked_last_gc = len(self._witnesses)
             t2 = clock()
+            reclaimed = self._sweep()
+            t3 = clock()
             live = stats.live_bytes = heap.bytes_in_use
             stats.live_objects = heap.objects_in_use
             self._allocated_since_gc = 0
             self._threshold = max(self._threshold, 2 * live)
-            pause_ns, sweep_ns = t2 - t0, t2 - t1
-            mark_ns = t1 - t0 - root_scan_ns
+            root_scan_ns, mark_ns, sweep_ns = t1 - t0, t2 - t1, t3 - t2
+            pause_ns = t3 - t0
             if tracer.enabled:
                 page_bytes = sum(d.n_pages for d in heap.all_pages) * PAGE_SIZE
                 fragmentation = (round(1.0 - live / page_bytes, 4)
@@ -230,9 +269,83 @@ class Collector:
             metrics.gauge("gc.live_objects").set(stats.live_objects)
         return reclaimed
 
-    def _mark(self, clock: Callable[[], int]) -> int:
-        """Mark everything reachable from the roots; return the root-scan
-        time in ``clock`` nanoseconds."""
+    def _replay(self) -> bool:
+        """Re-mark every object in use from the place that marked it in
+        the previous collection, in that collection's marking order.
+
+        Each place must still be a word the full mark reads now: a
+        position still present in its provider's sequence, a word inside
+        a current root range (a stack slot at or above ``sp``) on a
+        mapped page, or a word inside a parent re-marked earlier in the
+        replay (the order guarantees it: the replay stops at the first
+        place that fails).  Its value must point into the same object,
+        and under ``interior_from_roots_only`` a heap word must equal
+        that object's base.  So the replay marks only objects the full
+        mark marks too.  It succeeds when it has marked ``objects_in_use``
+        objects, the whole heap; otherwise its marks are undone (they
+        would stop the full mark from tracing those objects) and it
+        returns False.
+        """
+        witnesses = self._witnesses
+        if len(witnesses) != self.heap.objects_in_use:
+            return False  # an allocation since the last collection
+        providers = self.dynamic_root_providers
+        mem_pages = self.memory._pages
+        roots_only = self.interior_from_roots_only
+        sequences: dict[int, list[int]] = {}
+        ranges = None
+        done = 0
+        for kind, place, pos, desc, idx, base in witnesses:
+            if kind == _REG:
+                seq = sequences.get(place)
+                if seq is None:
+                    if place >= len(providers):
+                        break  # its provider was removed (VM.release())
+                    seq = providers[place]()
+                    if type(seq) is not list:
+                        seq = list(seq)
+                    sequences[place] = seq
+                if pos >= len(seq):
+                    break
+                value = seq[pos]
+            else:
+                if kind == _ROOT:
+                    if ranges is None:
+                        ranges = [(r.start & ~(WORD_SIZE - 1), r.end)
+                                  for r in self._all_root_ranges()]
+                    for start, end in ranges:
+                        if start <= place and place + WORD_SIZE <= end:
+                            break
+                    else:
+                        break  # in no current root range: fail
+                page = mem_pages.get(place >> PAGE_SHIFT)
+                if page is None:
+                    break
+                value = _unpack_word(page, place & PAGE_MASK)[0]
+                if roots_only and kind == _HEAP and value != base:
+                    break
+            # A word inside the object's own bytes resolves to it, as the
+            # full mark's page-table lookup would.  It is still allocated:
+            # it survived the last sweep, and only a sweep frees objects.
+            if not base <= value < base + desc.obj_size:
+                break
+            desc.mark[idx] = True
+            done += 1
+        else:
+            return True
+        for _kind, _place, _pos, desc, idx, _base in witnesses[:done]:
+            desc.mark[idx] = False
+        return False
+
+    def _full_mark(self) -> list[tuple]:
+        """Mark everything reachable from the roots and return the new
+        witnesses, one per marked object in marking order.
+
+        Registers are scanned first, then the root ranges, and a newly
+        marked object's interior is traced at once, so the marking stops
+        as soon as every object in use is marked: no further word can
+        change the marked set.
+        """
         # The mark phase is the collector's hot loop: every word of every
         # root range and every reachable object flows through here.  The
         # two-level page-table lookup is inlined (one bounds-free double
@@ -243,15 +356,16 @@ class Collector:
         # drops every word outside the heap's allocated span before the
         # lookup: no page outside it is in the table, so the marked set
         # is unchanged, and most candidate words are not heap addresses.
+        witnesses: list[tuple] = []
+        record = witnesses.append
+        goal = self.heap.objects_in_use
         worklist: list[tuple[int, int]] = []  # (object base, object size)
-        marked = 0
         lo, hi = self.heap.base, self.heap._cursor
         top = self.heap.table._top
         mem_pages = self.memory._pages
         roots_only = self.interior_from_roots_only
 
-        def consider(value: int, from_roots: bool) -> None:
-            nonlocal marked
+        def consider(value: int, kind: int, place: int, pos: int) -> None:
             bottom = top[value >> 22]
             if bottom is None:
                 return
@@ -271,19 +385,22 @@ class Collector:
                 if idx >= desc.n_objects or not desc.alloc[idx]:
                     return
                 base = desc.start + idx * desc.obj_size
-            if roots_only and not from_roots and value != base:
+            if roots_only and kind == _HEAP and value != base:
                 # Extensions mode: heap-resident pointers must point at
                 # the base of an object to be recognized.
                 return
             if not desc.mark[idx]:
                 desc.mark[idx] = True
-                marked += 1
+                record((kind, place, pos, desc, idx, base))
+                if len(witnesses) == goal:
+                    raise _AllMarked
                 if not desc.atomic:  # pointer-free: nothing inside to trace
                     worklist.append((base, desc.obj_size))
 
-        def scan_words(start: int, end: int, from_roots: bool) -> None:
+        def scan_words(start: int, end: int, kind: int) -> None:
             """Conservatively consider every aligned word in [start, end),
-            page by page; unmapped pages are skipped wholesale."""
+            page by page; unmapped pages are skipped wholesale.  A word
+            of a root range that marks an object has it traced at once."""
             addr = start & ~(WORD_SIZE - 1)
             while addr + WORD_SIZE <= end:
                 page = mem_pages.get(addr >> PAGE_SHIFT)
@@ -295,27 +412,39 @@ class Collector:
                 count = (chunk_end - addr) // WORD_SIZE
                 if count:
                     off = addr & PAGE_MASK
-                    for value in struct.unpack_from(f"<{count}I", page, off):
+                    words = struct.unpack_from(f"<{count}I", page, off)
+                    i = 0
+                    for value in words:
                         if lo <= value < hi:
-                            consider(value, from_roots)
+                            # Few words are candidates: find this one's
+                            # position (for its witness) only now.  No
+                            # earlier candidate lies between i and it.
+                            i = words.index(value, i)
+                            consider(value, kind, addr + i * WORD_SIZE, 0)
+                            i += 1
+                            if worklist and kind == _ROOT:
+                                trace()
                 addr += count * WORD_SIZE
                 if addr + WORD_SIZE > chunk_end:
                     addr = page_end
 
-        t0 = clock()
-        for root in self._all_root_ranges():
-            scan_words(root.start, root.end, True)
-        for provider in self.dynamic_root_providers:
-            for value in provider():
-                if lo <= value < hi:
-                    consider(value, True)
-        root_scan_ns = clock() - t0
+        def trace() -> None:
+            while worklist:
+                base, size = worklist.pop()
+                scan_words(base, base + size, _HEAP)
 
-        while worklist:
-            base, size = worklist.pop()
-            scan_words(base, base + size, False)
-        self.stats.marked_last_gc = marked
-        return root_scan_ns
+        try:
+            for i, provider in enumerate(self.dynamic_root_providers):
+                for pos, value in enumerate(provider()):
+                    if lo <= value < hi:
+                        consider(value, _REG, i, pos)
+                        if worklist:
+                            trace()
+            for root in self._all_root_ranges():
+                scan_words(root.start, root.end, _ROOT)
+        except _AllMarked:
+            pass
+        return witnesses
 
     def _all_root_ranges(self) -> Iterable[RootRange]:
         yield from self.static_roots
@@ -325,9 +454,9 @@ class Collector:
     def _sweep(self) -> int:
         if self.stats.marked_last_gc == self.heap.objects_in_use:
             # Every live object is marked: nothing to reclaim, so only
-            # the marks need clearing, not a walk over every slot.
-            for desc in self.heap.all_pages:
-                desc.mark = [False] * desc.n_objects
+            # the marks need clearing, and each mark has a witness.
+            for _kind, _place, _pos, desc, idx, _base in self._witnesses:
+                desc.mark[idx] = False
             return 0
         reclaimed = 0
         free_object = self.heap.free_object

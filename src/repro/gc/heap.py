@@ -20,6 +20,10 @@ GRANULE = 8
 MAX_SMALL = PAGE_SIZE // 8  # objects above this get dedicated pages
 
 
+class HeapExhausted(MemoryError):
+    """The simulated heap cannot hold the request."""
+
+
 @dataclass
 class PageDescriptor:
     """Descriptor for one heap page (or the head of a large-object run)."""
@@ -87,7 +91,7 @@ class Heap:
     def _new_page_run(self, n_pages: int) -> int:
         addr = self._cursor
         if addr + n_pages * PAGE_SIZE > self.limit:
-            raise MemoryError("simulated heap exhausted")
+            raise HeapExhausted("simulated heap exhausted")
         self._cursor += n_pages * PAGE_SIZE
         self.memory.map_range(addr, n_pages * PAGE_SIZE)
         return addr

@@ -24,7 +24,7 @@ ARG_REGS = tuple(f"a{i}" for i in range(6))
 SCRATCH = ("x0", "x1", "x2")  # reserved for spill reloads
 
 ALU_OPS = frozenset(
-    "add sub mul div mod and or xor shl shr srl "
+    "add sub mul div mod divu modu and or xor shl shr srl "
     "seq sne slt sle sgt sge sltu sleu sgtu sgeu".split()
 )
 UNARY_OPS = frozenset("neg not bnot sext8 zext8 sext16 zext16".split())

@@ -20,6 +20,7 @@ from .regalloc import Allocation, allocate
 
 _BIN_TO_M = {
     "add": "add", "sub": "sub", "mul": "mul", "div": "div", "mod": "mod",
+    "divu": "divu", "modu": "modu",
     "and": "and", "or": "or", "xor": "xor", "shl": "shl", "shr": "shr",
     "shru": "srl",
     "eq": "seq", "ne": "sne", "lt": "slt", "le": "sle", "gt": "sgt",

@@ -840,10 +840,16 @@ _BIN_MAP = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
 
 def _bin_subop(op: str, left_t: CType, right_t: CType) -> str:
     """The IR subop of C operator ``op`` on operands of these types: a
-    compare with a pointer or unsigned operand compares unsigned, and
-    ``>>`` of an unsigned left operand shifts logically."""
+    compare with a pointer or unsigned operand compares unsigned, ``>>``
+    of an unsigned left operand shifts logically, and ``/`` and ``%``
+    divide unsigned when the operands convert to ``unsigned int`` (an
+    unsigned char or short promotes to ``int``)."""
     subop = _BIN_MAP[op]
-    if op in ("<", "<=", ">", ">="):
+    if op in ("/", "%"):
+        if any(isinstance(t, IntType) and not t.signed and t.size == 4
+               for t in (left_t, right_t)):
+            return subop + "u"
+    elif op in ("<", "<=", ">", ">="):
         if (left_t.is_pointer or right_t.is_pointer
                 or (isinstance(left_t, IntType) and not left_t.signed)
                 or (isinstance(right_t, IntType) and not right_t.signed)):

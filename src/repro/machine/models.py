@@ -35,7 +35,7 @@ class MachineModel:
             return self.store_cycles
         if op == "mul":
             return self.mul_cycles
-        if op in ("div", "mod"):
+        if op in ("div", "mod", "divu", "modu"):
             return self.div_cycles
         if op in ("jmp", "bz", "bnz"):
             return self.branch_cycles + (self.taken_branch_extra if taken else 0)

@@ -189,7 +189,7 @@ def _algebraic(fn: IRFunc, idx: int, inst: Inst, state: _BlockState,
             return as_const(0)
         # mul-by-power-of-two becomes a shift in opt/strength.py, which
         # can insert the shift-amount constant it needs.
-    elif subop in ("div",) and cb == 1:
+    elif subop in ("div", "divu") and cb == 1:
         return as_mov(a)
     return False
 

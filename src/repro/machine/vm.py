@@ -101,6 +101,18 @@ def _mod(a: int, b: int) -> int:
     return (sa - q * sb) & _MASK
 
 
+def _divu(a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("integer division by zero in divu")
+    return a // b
+
+
+def _modu(a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("integer division by zero in modu")
+    return a % b
+
+
 # What each ALU and unary op computes: a Python expression over masked
 # 32-bit operands {a} and {b} whose value is the masked result (C
 # truncating division).  Operands are substituted as atoms (a name, a
@@ -112,6 +124,8 @@ ALU_EXPRS = {
     "mul": "({a} * {b}) & 4294967295",
     "div": "_div({a}, {b})",
     "mod": "_mod({a}, {b})",
+    "divu": "_divu({a}, {b})",
+    "modu": "_modu({a}, {b})",
     "and": "{a} & {b}",
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
@@ -139,7 +153,8 @@ UNARY_EXPRS = {
     "sext16": "{a} | 4294901760 if {a} & 32768 else {a} & 65535",
     "zext16": "{a} & 65535",
 }
-_OP_HELPERS = {"_s32": _s32, "_div": _div, "_mod": _mod}
+_OP_HELPERS = {"_s32": _s32, "_div": _div, "_mod": _mod, "_divu": _divu,
+               "_modu": _modu}
 
 
 def _op_functions(exprs: dict[str, str], params: str) -> dict:
@@ -792,23 +807,25 @@ def _signed(x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Allocation sizes are size_t: unsigned, so a "negative" size is a
+# request the heap cannot hold, and the allocator returns 0.
 def _bi_gc_malloc(vm: VM, args):
-    addr = vm.gc.malloc(_signed(args[0]))
+    addr = vm.gc.malloc(args[0])
     return addr, 30
 
 
 def _bi_gc_malloc_atomic(vm: VM, args):
-    addr = vm.gc.malloc_atomic(_signed(args[0]))
+    addr = vm.gc.malloc_atomic(args[0])
     return addr, 30
 
 
 def _bi_calloc(vm: VM, args):
-    addr = vm.gc.malloc(_signed(args[0]) * _signed(args[1]))
+    addr = vm.gc.malloc(args[0] * args[1])  # no 32-bit wrap: too big
     return addr, 30
 
 
 def _bi_realloc(vm: VM, args):
-    return vm.gc.realloc(args[0], _signed(args[1])), 40
+    return vm.gc.realloc(args[0], args[1]), 40
 
 
 def _bi_free(vm: VM, args):

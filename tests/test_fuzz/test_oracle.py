@@ -52,6 +52,15 @@ class TestMatrix:
             "int main(void) { int x = 1; return x / (x - 1); }", "g")
         assert out.status == "fault"
 
+    def test_heap_exhaustion_is_an_outcome(self):
+        source = ("int main(void) { char *p = GC_malloc(0x7ffffff0); "
+                  "return p[0]; }")
+        out = compile_and_run(source, "g", gc_interval=1)
+        assert out.status == "fault" and "load fault" in out.detail
+        report = check_program(source.replace("return p[0]", "return !p"))
+        assert report.ok, report.describe()
+        assert report.reference.exit_code == 1
+
 
 class TestDetection:
     def test_rebroken_addrfold_caught(self):

@@ -169,6 +169,31 @@ class TestCcCommand:
         assert main(["cc", str(path)]) == 10
         assert "exit=10" in capsys.readouterr().err
 
+    def test_allocation_the_heap_cannot_hold_returns_null(self, tmp_path,
+                                                          capsys):
+        # Sizes are size_t: -8 is a huge request, not an 8-byte one.
+        path = tmp_path / "oom.c"
+        path.write_text(
+            "int main(void) {\n"
+            "    char *s = GC_malloc(16);\n"
+            "    if (GC_malloc(0x7ffffff0) || GC_malloc(-8)\n"
+            "        || GC_malloc_atomic(-8) || calloc(0x10000, 0x10000)\n"
+            "        || realloc(s, 0x7ffffff0))\n"
+            "        return 1;\n"
+            "    return 0;\n"
+            "}\n")
+        assert main(["cc", str(path)]) == 0
+        assert "exit=0" in capsys.readouterr().err
+
+    def test_dereferencing_a_failed_allocation_faults(self, tmp_path, capsys):
+        path = tmp_path / "oom.c"
+        path.write_text("int main(void) { int *p = GC_malloc(-8); "
+                        "return *p; }\n")
+        assert main(["cc", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: load fault")
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_bench_single_workload(self, capsys):

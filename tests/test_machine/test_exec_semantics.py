@@ -145,6 +145,22 @@ class TestDifferentialArithmetic:
                f"&& ({a} % {b} == {r}); }}")
         assert run_all(src, configs=("O", "g")).exit_code == 1
 
+    def test_unsigned_division_and_remainder(self):
+        # Operands that convert to unsigned int divide unsigned; an
+        # unsigned char promotes to int and divides signed.
+        src = """
+        unsigned half = (unsigned) -2 / 2;
+        int main(void) {
+            unsigned u = 0xFFFFFFFE, v = 0xFFFFFFF0;
+            unsigned char c = 200;
+            v /= 16;
+            printf("%x %x %x %x %d\\n", u / 2, u % 7, v, half, c / -3);
+            return 0;
+        }
+        """
+        result = run_all(src, configs=("O0",) + ALL_CONFIGS)
+        assert result.output == "7fffffff 2 fffffff 7fffffff -66\n"
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12))
     def test_array_sum_matches(self, values):

@@ -36,6 +36,8 @@ REFERENCE = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: int(s32(a) / s32(b)),
     "mod": lambda a, b: int(math.fmod(s32(a), s32(b))),
+    "divu": lambda a, b: int(a / b),
+    "modu": lambda a, b: int(math.fmod(a, b)),
     "and": lambda a, b: a & b,
     "or": lambda a, b: a | b,
     "xor": lambda a, b: a ^ b,
@@ -105,7 +107,7 @@ def test_tiers_and_folding_agree(op, form, monkeypatch):
         pairs = [(a, 0) for a in OPERANDS]
     else:
         pairs = [(a, b) for a in OPERANDS for b in OPERANDS
-                 if b or op not in ("div", "mod")]
+                 if b or op not in ("div", "mod", "divu", "modu")]
     prog = program(op, form, pairs)
     plain = results(run(prog, False, monkeypatch), len(pairs))
     fused = results(run(prog, True, monkeypatch), len(pairs))
@@ -119,7 +121,7 @@ def test_tiers_and_folding_agree(op, form, monkeypatch):
     assert folded == expected
 
 
-@pytest.mark.parametrize("op", ["div", "mod"])
+@pytest.mark.parametrize("op", ["div", "mod", "divu", "modu"])
 @pytest.mark.parametrize("form", ["rr", "ri"])
 def test_division_by_zero_traps_alike_and_does_not_fold(op, form,
                                                         monkeypatch):
