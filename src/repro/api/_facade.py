@@ -35,17 +35,13 @@ from ..cfront.errors import Diagnostic
 from ..core.annotate import AnnotateOptions
 from ..core.api import AnnotatedSource, _annotate_source, _check_source
 from ..exec import cache as exec_cache
-from ..gc.collector import Collector
 from ..machine.driver import CompileConfig, CompiledProgram, compile_source
 from ..machine.models import MODELS
-from ..machine.vm import VM, RunResult
+from ..machine.vm import POISON_BYTE, RunResult, run_program
 
 if TYPE_CHECKING:  # heavy subsystems are imported lazily at call time
     from ..bench.harness import WorkloadRow
     from ..fuzz.campaign import CampaignResult
-
-#: Heap poison pattern used by adversarial reruns (matches fuzz.oracle).
-POISON_BYTE = 0xDD
 
 
 class Mode(enum.Enum):
@@ -164,33 +160,26 @@ class Toolchain:
         compile cache is installed — see :meth:`session`)."""
         return compile_source(source, self.compile_config(config))
 
-    def execute(self, compiled: CompiledProgram, stdin: str = "",
-                entry: str = "main") -> RunResult:
+    def execute(self, compiled: CompiledProgram,
+                stdin: str = "") -> RunResult:
         """Run an already-compiled program on this options' VM setup.
+        A program that faults or fails a pointer check comes back as the
+        result's ``status`` and ``detail``.
 
         With ``options.sink`` the allocation-sinking pass rewrites the
         program in place first."""
         if self.options.sink:
             from ..postproc.sink import sink_program
             sink_program(compiled.asm)
-        collector = Collector()
-        if self.options.poison:
-            collector.heap.poison_byte = POISON_BYTE
-        vm = VM(compiled.asm, MODELS[self.options.model],
-                collector=collector,
-                gc_interval=self.options.gc_interval,
-                max_instructions=self.options.max_instructions)
-        vm.stdin = stdin
-        try:
-            return vm.run(entry)
-        finally:
-            vm.release()
+        return run_program(compiled.asm, MODELS[self.options.model],
+                           stdin=stdin, gc_interval=self.options.gc_interval,
+                           poison=self.options.poison,
+                           max_instructions=self.options.max_instructions)
 
     def run(self, source: str, stdin: str = "",
-            config: str | None = None, entry: str = "main") -> RunResult:
+            config: str | None = None) -> RunResult:
         """Compile and execute in one step."""
-        return self.execute(self.compile(source, config), stdin=stdin,
-                            entry=entry)
+        return self.execute(self.compile(source, config), stdin=stdin)
 
     # -- drivers -----------------------------------------------------------
 

@@ -16,7 +16,7 @@ from ..exec import cache as exec_cache
 from ..exec.engine import run_sharded
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS, MachineModel
-from ..machine.vm import VM
+from ..machine.vm import VMError, run_program
 from ..obs import runtime as obs_runtime
 from ..obs.report import summarize
 from ..postproc import postprocess
@@ -112,12 +112,9 @@ class Harness:
             compiled = compile_source(source, config)
             stats = postprocess(compiled.asm) if postprocessed else None
             sink_stats = sink_program(compiled.asm) if self.sink else None
-            vm = VM(compiled.asm, self.model)
-            vm.stdin = spec.stdin
-            try:
-                run = vm.run()
-            finally:
-                vm.release()
+            run = run_program(compiled.asm, self.model, stdin=spec.stdin)
+        if run.status != "ok":
+            raise VMError(run.describe())
         telemetry = (summarize(tracer.events[ev_start:])
                      if tracer.enabled else None)
         cell = CellResult(

@@ -35,6 +35,7 @@ class Expr(Node):
 @dataclass
 class IntLit(Expr):
     value: int = 0
+    unsigned: bool = False  # written with a u/U suffix
 
 
 @dataclass

@@ -723,7 +723,8 @@ class Parser:
         start = tok.pos
         if tok.kind == "int":
             self.advance()
-            return A.IntLit(value=tok.value, span=self._span(start))
+            return A.IntLit(value=tok.value, unsigned="u" in tok.text.lower(),
+                            span=self._span(start))
         if tok.kind == "float":
             self.advance()
             return A.FloatLit(value=tok.value, span=self._span(start))

@@ -175,7 +175,9 @@ class TypeChecker:
 
     def _expr(self, e: A.Expr) -> CType:
         if isinstance(e, A.IntLit):
-            return INT
+            # C89 with a 32-bit long: a u suffix, or a value too big for
+            # int, makes the literal unsigned int.
+            return UINT if e.unsigned or e.value > 0x7FFFFFFF else INT
         if isinstance(e, A.FloatLit):
             return DOUBLE
         if isinstance(e, A.CharLit):

@@ -52,7 +52,7 @@ class Unparser:
 
     def expr(self, e: A.Expr) -> str:
         if isinstance(e, A.IntLit):
-            return str(e.value)
+            return f"{e.value}u" if e.unsigned else str(e.value)
         if isinstance(e, A.FloatLit):
             return repr(e.value)
         if isinstance(e, A.CharLit):

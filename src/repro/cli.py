@@ -66,7 +66,6 @@ from .cfront.errors import CFrontError
 from .core.annotate import AnnotateOptions
 from .exec import cache as exec_cache
 from .exec.cli import add_cache_parser, resolve_cache_dir
-from .gc.collector import GCCheckError
 from .machine.models import MODELS
 from .machine.vm import VMError
 from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
@@ -134,12 +133,13 @@ def cmd_cc(args: argparse.Namespace) -> int:
     if args.dump_asm:
         print(compiled.asm.render())
         return 0
-    try:
-        result = tc.execute(compiled,
-                            stdin=_read(args.stdin) if args.stdin else "")
-    except GCCheckError as exc:
-        print(f"! pointer check failed: {exc}", file=sys.stderr)
+    result = tc.execute(compiled, stdin=_read(args.stdin) if args.stdin else "")
+    if result.status == "check":
+        print(f"! pointer check failed: {result.detail}", file=sys.stderr)
         return 3
+    if result.status != "ok":
+        print(f"error: {result.detail}", file=sys.stderr)
+        return 2
     if args.json:
         print(dumps_canonical(run_envelope(
             result, compiled.asm.code_size(), args.config, args.model)))

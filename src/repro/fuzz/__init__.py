@@ -25,14 +25,14 @@ This package turns that claim into a push-button oracle:
 
 from .campaign import CampaignResult, Finding, run_campaign
 from .gen import GenOptions, generate_program
-from .oracle import (ADVERSARIAL_CONFIGS, ALL_CONFIGS, Mismatch, Outcome,
+from .oracle import (ADVERSARIAL_CONFIGS, ALL_CONFIGS, Mismatch,
                      OracleReport, check_program, compile_and_run,
                      mismatch_predicate)
 from .reduce import ReduceStats, reduce_source
 
 __all__ = [
     "ADVERSARIAL_CONFIGS", "ALL_CONFIGS", "CampaignResult", "Finding",
-    "GenOptions", "Mismatch", "Outcome", "OracleReport", "ReduceStats",
+    "GenOptions", "Mismatch", "OracleReport", "ReduceStats",
     "check_program", "compile_and_run", "generate_program",
     "mismatch_predicate", "reduce_source", "run_campaign",
 ]

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 
 from ..cfront.errors import CFrontError
 from ..exec.engine import run_sharded
-from ..gc.collector import Collector, GCCheckError, GCStats
-from ..gc.memory import MemoryFault
+from ..gc.collector import GCStats
 from ..machine.driver import CompileConfig, CONFIGS, compile_source, front_memo
 from ..machine.models import MODELS
-from ..machine.vm import VM, VMError
+from ..machine.vm import RunResult, run_program
 
 ALL_CONFIGS = CONFIGS  # ("O0", "O", "O_safe", "g", "g_checked")
 # Configs that must additionally survive the adversarial collector.
@@ -54,31 +53,13 @@ SINK_ADVERSARIAL_CONFIGS = ("O0", "g")
 REFERENCE_CONFIG = "g"
 
 DEFAULT_MODELS = ("ss10", "ss2", "p90")
-POISON_BYTE = 0xDD
 
 
-@dataclass
-class Outcome:
-    """Observable result of one (config, model, gc-mode) cell."""
-
-    status: str  # "ok" | "fault" | "check" | "compile-error"
-    exit_code: int | None = None
-    output: str = ""
-    detail: str = ""
-    collections: int = 0
-    # The run's simulated collector counts (``GCStats.to_dict()``):
-    # aggregate accounting only, never part of the agreement key (builds
-    # legitimately differ in how often they collect and check).
-    gc_stats: dict = field(default_factory=dict)
-
-    def key(self) -> tuple:
-        """What two cells must agree on (never timing counters)."""
-        return (self.status, self.exit_code, self.output)
-
-    def describe(self) -> str:
-        if self.status == "ok":
-            return f"exit={self.exit_code} output={self.output!r}"
-        return f"{self.status}: {self.detail}"
+def _agreement_key(result: RunResult) -> tuple:
+    """What two cells must agree on: never counts, since builds
+    legitimately differ in how long they run and how often they
+    collect and check."""
+    return (result.status, result.exit_code, result.output)
 
 
 @dataclass
@@ -101,7 +82,7 @@ class Mismatch:
 class OracleReport:
     mismatches: list[Mismatch] = field(default_factory=list)
     runs: int = 0
-    reference: Outcome | None = None
+    reference: RunResult | None = None
     # Merged collector counters over every cell run (GCStats.merge),
     # so serial and sharded campaigns can pin identical aggregates.
     gc_totals: GCStats = field(default_factory=GCStats)
@@ -119,38 +100,25 @@ class OracleReport:
 def compile_and_run(source: str, config_name: str, model_name: str = "ss10",
                     gc_interval: int = 0, poison: bool = True,
                     max_instructions: int = 5_000_000,
-                    sink: bool = False) -> Outcome:
-    """Compile + execute one cell, folding every failure mode into an
-    :class:`Outcome` so cells are always comparable.  ``sink`` applies
-    the allocation-sinking pass to the compiled program first (safe to
-    mutate: the compile cache hands out fresh copies)."""
+                    sink: bool = False) -> RunResult:
+    """Compile + execute one cell; a compile error is a result too, so
+    cells are always comparable.  ``sink`` applies the allocation-
+    sinking pass to the compiled program first (safe to mutate: the
+    compile cache hands out fresh copies)."""
     model = MODELS[model_name]
     try:
         compiled = compile_source(source, CompileConfig.named(config_name, model))
     except CFrontError as exc:
-        return Outcome("compile-error", detail=str(exc))
+        return RunResult(None, 0, 0, "", 0, 0, status="compile-error",
+                         detail=str(exc))
     if sink:
         from ..postproc.sink import sink_program
         sink_program(compiled.asm)
-    gc = Collector()
-    if poison:
-        gc.heap.poison_byte = POISON_BYTE
-    vm = VM(compiled.asm, model, collector=gc, gc_interval=gc_interval,
-            max_instructions=max_instructions)
-    try:
-        result = vm.run()
-    except GCCheckError as exc:
-        return Outcome("check", detail=str(exc), gc_stats=gc.stats.to_dict())
-    except (VMError, MemoryFault) as exc:
-        return Outcome("fault", detail=str(exc), gc_stats=gc.stats.to_dict())
-    finally:
-        vm.release()
-    return Outcome("ok", result.exit_code, result.output,
-                   collections=result.collections,
-                   gc_stats=gc.stats.to_dict())
+    return run_program(compiled.asm, model, gc_interval=gc_interval,
+                       poison=poison, max_instructions=max_instructions)
 
 
-def _cell_worker(payload: tuple) -> Outcome:
+def _cell_worker(payload: tuple) -> RunResult:
     """Engine task: one oracle cell.  Payload is (source, config, model,
     gc_interval, poison, max_instructions, sink) — all picklable
     scalars."""
@@ -160,11 +128,11 @@ def _cell_worker(payload: tuple) -> Outcome:
                            sink=sink)
 
 
-def run_cells(cells: list[tuple], workers: int = 1) -> list[Outcome]:
+def run_cells(cells: list[tuple], workers: int = 1) -> list[RunResult]:
     """Run oracle cells through the execution engine, results in cell
     order.  ``workers <= 1`` executes inline (deterministic serial
     path); engine-level failures (a worker dying) are not folded into
-    Outcomes — they raise, since a partial oracle matrix proves nothing.
+    results — they raise, since a partial oracle matrix proves nothing.
     """
     merged = run_sharded(cells, _cell_worker, workers=workers,
                          label="oracle").raise_on_failure()
@@ -237,7 +205,7 @@ def check_program(source: str, models: tuple[str, ...] = DEFAULT_MODELS,
             _, config, model = payload[:3]
             report.runs += 1
             report.gc_totals.merge(out.gc_stats)
-            if out.key() != ref.key():
+            if _agreement_key(out) != _agreement_key(ref):
                 report.mismatches.append(Mismatch(
                     kind, config, model, ref.describe(), out.describe()))
         return report
@@ -278,6 +246,6 @@ def mismatch_predicate(signature: tuple[str, str, str] | None = None,
         sink = kind.startswith("sink")
         out, = run_cells([(source, config, model, gc_interval, True,
                            max_instructions, sink)], workers=1)
-        return out.key() != ref.key()
+        return _agreement_key(out) != _agreement_key(ref)
 
     return pred

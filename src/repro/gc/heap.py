@@ -78,6 +78,9 @@ class Heap:
         self.table = PageTable()
         # (size class, atomic?) -> pages with free slots
         self._partial: dict[tuple[int, bool], list[PageDescriptor]] = {}
+        # page count -> reclaimed large objects' page runs, reused before
+        # the heap grows
+        self._free_large: dict[int, list[PageDescriptor]] = {}
         self.all_pages: list[PageDescriptor] = []
         self.bytes_in_use = 0
         self.objects_in_use = 0
@@ -108,6 +111,11 @@ class Heap:
 
     def _make_large_object(self, size: int, atomic: bool) -> PageDescriptor:
         n_pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        free = self._free_large.get(n_pages)
+        if free:  # an exact fit: its pages stay mapped and registered
+            desc = free.pop()
+            desc.atomic = atomic
+            return desc
         start = self._new_page_run(n_pages)
         desc = PageDescriptor(start=start, obj_size=n_pages * PAGE_SIZE,
                               n_objects=1, large=True, n_pages=n_pages,
@@ -154,9 +162,11 @@ class Heap:
             self.memory.fill(desc.object_base(idx), desc.obj_size, self.poison_byte)
         self.bytes_in_use -= desc.obj_size
         self.objects_in_use -= 1
-        # O(1) membership flag (a `desc in list` scan here is quadratic
-        # across a sweep that frees many objects).
-        if not desc.large and not desc.in_partial:
+        if desc.large:
+            self._free_large.setdefault(desc.n_pages, []).append(desc)
+        elif not desc.in_partial:
+            # O(1) membership flag (a `desc in list` scan here is
+            # quadratic across a sweep that frees many objects).
             self._partial.setdefault((desc.obj_size, desc.atomic), []).append(desc)
             desc.in_partial = True
 

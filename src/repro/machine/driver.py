@@ -19,8 +19,7 @@ testing: a divergence between ``O0`` and ``g`` implicates lowering or
 register allocation, while a divergence between ``O`` and ``O0``
 implicates an optimizer pass.
 
-Use :func:`compile_source` + :class:`repro.machine.vm.VM` to run, or the
-convenience :func:`run_source`.
+Run a compiled program with :func:`repro.machine.vm.run_program`.
 
 A compilation has two halves.  The *front half* (cpp, parse, typecheck,
 annotate, lower, optimize) does not depend on the machine model; the
@@ -42,7 +41,6 @@ from ..cfront.typecheck import typecheck
 from ..exec import cache as exec_cache
 from ..obs import runtime as obs_runtime
 from ..core.annotate import AnnotateOptions, Annotator
-from ..gc.collector import Collector
 from ..resil import inject as resil_inject
 from .asm import MProgram
 from .codegen import generate_program
@@ -50,7 +48,6 @@ from .ir import IRProgram
 from .lower import lower_unit
 from .models import MachineModel, SPARC_10
 from .opt import DEFAULT_PASSES, optimize
-from .vm import VM, RunResult
 
 CONFIGS = ("O0", "O", "O_safe", "g", "g_checked")
 
@@ -215,18 +212,3 @@ def _front_half(source: str, config: CompileConfig) -> tuple[IRProgram, int]:
                 optimize(fn, config.passes)
     return ir, keep_lives
 
-
-def run_source(source: str, config: CompileConfig | None = None,
-               entry: str = "main", stdin: str = "",
-               gc_interval: int = 0, collector: Collector | None = None,
-               max_instructions: int = 500_000_000) -> RunResult:
-    """Compile and execute in one step."""
-    compiled = compile_source(source, config)
-    vm = VM(compiled.asm, (config or CompileConfig()).model,
-            collector=collector, gc_interval=gc_interval,
-            max_instructions=max_instructions)
-    vm.stdin = stdin
-    try:
-        return vm.run(entry)
-    finally:
-        vm.release()

@@ -840,23 +840,26 @@ _BIN_MAP = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
 
 def _bin_subop(op: str, left_t: CType, right_t: CType) -> str:
     """The IR subop of C operator ``op`` on operands of these types: a
-    compare with a pointer or unsigned operand compares unsigned, ``>>``
-    of an unsigned left operand shifts logically, and ``/`` and ``%``
-    divide unsigned when the operands convert to ``unsigned int`` (an
-    unsigned char or short promotes to ``int``)."""
+    compare with a pointer operand, or whose operands convert to
+    ``unsigned int``, compares unsigned; ``/`` and ``%`` divide unsigned
+    when the operands convert to ``unsigned int``; and ``>>`` of an
+    unsigned left operand shifts logically.  An unsigned char or short
+    promotes to ``int``."""
     subop = _BIN_MAP[op]
     if op in ("/", "%"):
-        if any(isinstance(t, IntType) and not t.signed and t.size == 4
-               for t in (left_t, right_t)):
+        if _is_uint(left_t) or _is_uint(right_t):
             return subop + "u"
     elif op in ("<", "<=", ">", ">="):
         if (left_t.is_pointer or right_t.is_pointer
-                or (isinstance(left_t, IntType) and not left_t.signed)
-                or (isinstance(right_t, IntType) and not right_t.signed)):
+                or _is_uint(left_t) or _is_uint(right_t)):
             return "u" + subop
     elif op == ">>" and isinstance(left_t, IntType) and not left_t.signed:
         return "shru"
     return subop
+
+
+def _is_uint(t: CType) -> bool:
+    return isinstance(t, IntType) and not t.signed and t.size == 4
 
 
 def _operand_type(e: A.Expr) -> CType:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from ..gc.collector import Collector, GCCheckError, RootRange
+from ..gc.collector import Collector, GCCheckError, GCStats, RootRange
 from ..gc.memory import Memory, MemoryFault, PAGE_SIZE, STACK_TOP, STATIC_BASE
 from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
@@ -67,16 +67,34 @@ class ExitProgram(Exception):
 
 @dataclass
 class RunResult:
-    exit_code: int
+    """What one run of a program did.  ``status`` is "ok", "fault" (a
+    ``VMError``, a ``MemoryFault`` inside a builtin or a call stack
+    deeper than the host allows), "check" (a ``GCCheckError``) or, set
+    only by the fuzz oracle, "compile-error"; ``detail`` says what went
+    wrong; ``gc_stats`` is the collector's ``GCStats``.  A failed run
+    has no exit code and 0 instructions and cycles: a fused run settles
+    those only when it leaves the run, so at a fault they depend on the
+    tier.  Its output and collector counts are exact."""
+
+    exit_code: int | None
     instructions: int
     cycles: int
     output: str
     collections: int
     checks: int
+    status: str = "ok"
+    detail: str = ""
+    gc_stats: GCStats = field(default_factory=GCStats)
+
+    def describe(self) -> str:
+        if self.status == "ok":
+            return f"exit={self.exit_code} output={self.output!r}"
+        return f"{self.status}: {self.detail}"
 
     def __repr__(self) -> str:
-        return (f"RunResult(exit={self.exit_code}, insts={self.instructions}, "
-                f"cycles={self.cycles}, collections={self.collections})")
+        return (f"RunResult({self.status}, exit={self.exit_code}, "
+                f"insts={self.instructions}, cycles={self.cycles}, "
+                f"collections={self.collections})")
 
 
 def _s32(x: int) -> int:
@@ -632,7 +650,8 @@ class VM:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, entry: str = "main", args: tuple[int, ...] = ()) -> RunResult:
+    def run(self) -> RunResult:
+        """Run ``main`` to completion; a failure raises."""
         # Compiled closures (and root providers) hold a reference to the
         # register dict: reset it in place.
         # Python recursion mirrors the C call stack; leave generous
@@ -650,31 +669,30 @@ class VM:
         for i in range(16):  # allocatable pools (model-sized subsets used)
             regs[f"t{i}"] = 0
             regs[f"s{i}"] = 0
-        for i, a in enumerate(args):
-            regs[ARG_REGS[i]] = a & _MASK
         start_checks = self.gc.stats.checks_performed
         start_colls = self.gc.stats.collections
         start_insts, start_cycles = self._st
         if self._profile is not None:
-            self._profile.func_cell(entry)[2] += 1
+            self._profile.func_cell("main")[2] += 1
         tracer = obs_runtime.get_tracer()
         # Metrics are sampled at run() granularity only: per-instruction
         # observation would dominate the dispatch loop, and the disabled
         # path must stay one ``is None`` test.
         metrics = obs_runtime.get_metrics()
         t0_ns = obs_clock.now_ns() if metrics is not None else 0
-        span = tracer.span("vm.run", entry=entry, model=self.model.name,
+        span = tracer.span("vm.run", entry="main", model=self.model.name,
                            gc_interval=self.gc_interval)
         with span:
             try:
-                self._call(entry)
+                self._call("main")
                 code = _signed(regs[RV])
             except ExitProgram as ex:
                 code = ex.code
             result = RunResult(code, self._st[0], self._st[1],
                                "".join(self.output),
                                self.gc.stats.collections - start_colls,
-                               self.gc.stats.checks_performed - start_checks)
+                               self.gc.stats.checks_performed - start_checks,
+                               gc_stats=self.gc.stats)
             span.set(exit_code=result.exit_code,
                      instructions=result.instructions - start_insts,
                      cycles=result.cycles - start_cycles,
@@ -799,6 +817,42 @@ def _exec_loop(vm: VM, ops: list) -> None:
 def _signed(x: int) -> int:
     x &= _MASK
     return x - (1 << 32) if x >= 1 << 31 else x
+
+
+#: What ``poison`` fills reclaimed objects with, so that a read through
+#: a pointer the collector missed shows up in the output.
+POISON_BYTE = 0xDD
+
+
+def run_program(program: MProgram, model: MachineModel, *, stdin: str = "",
+                gc_interval: int = 0, poison: bool = False,
+                max_instructions: int = 500_000_000) -> RunResult:
+    """Run ``program``'s ``main`` on a fresh collector and VM, the one
+    place a VM lives: the VM is released on every path.  A failure of
+    the program itself is the result's ``status``, never an exception."""
+    collector = Collector()
+    if poison:
+        collector.heap.poison_byte = POISON_BYTE
+    vm = VM(program, model, collector=collector, gc_interval=gc_interval,
+            max_instructions=max_instructions)
+    vm.stdin = stdin
+    try:
+        return vm.run()
+    except GCCheckError as exc:
+        return _failed(vm, "check", str(exc))
+    except (VMError, MemoryFault) as exc:
+        return _failed(vm, "fault", str(exc))
+    except RecursionError:
+        return _failed(vm, "fault", "call stack overflow")
+    finally:
+        vm.release()
+
+
+def _failed(vm: VM, status: str, detail: str) -> RunResult:
+    stats = vm.gc.stats
+    return RunResult(None, 0, 0, "".join(vm.output), stats.collections,
+                     stats.checks_performed, status=status, detail=detail,
+                     gc_stats=stats)
 
 
 # ---------------------------------------------------------------------------

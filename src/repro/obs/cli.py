@@ -45,10 +45,9 @@ from .report import render_text, summarize
 from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY,
                        check_trajectory, render_verdict, run_sentinel)
 from .tracer import load_jsonl
-from ..gc.collector import Collector, GCCheckError
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
-from ..machine.vm import VM, VMError
+from ..machine.vm import run_program
 from ..workloads import AUX_WORKLOADS, WORKLOADS, load_workload
 
 
@@ -74,26 +73,20 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
     tracer = runtime.enable_tracing()
     profile = runtime.enable_profiling() if profile_on else None
     metrics = runtime.enable_metrics()
-    vm = None
     try:
         config = CompileConfig.named(config_name, MODELS[model_key])
-        collector = Collector()
         t0_ns = obs_clock.now_ns()
         compiled = compile_source(source, config)
-        vm = VM(compiled.asm, config.model, collector=collector,
-                gc_interval=gc_interval)
-        vm.stdin = stdin
-        result = vm.run()
+        result = run_program(compiled.asm, config.model, stdin=stdin,
+                             gc_interval=gc_interval)
         wall_s = (obs_clock.now_ns() - t0_ns) / 1e9
         # Close the trace with the run's simulated GC counts and its
         # metrics snapshot, so report/summarize can rebuild the
         # percentile and allocation-size sections from the trace alone.
-        tracer.instant("gc.stats", **collector.stats.to_dict())
+        tracer.instant("gc.stats", **result.gc_stats.to_dict())
         tracer.instant("obs.metrics", metrics=metrics.to_dict())
     finally:
         runtime.reset()
-        if vm is not None:
-            vm.release()
     return tracer, profile, result, wall_s, metrics
 
 
@@ -110,12 +103,11 @@ def cmd_record(args: argparse.Namespace) -> int:
         with open(args.stdin) as fh:
             stdin = fh.read()
 
-    try:
-        tracer, profile, result, wall_s, metrics = _record_one(
-            source, stdin, args.config, args.model, args.gc_interval,
-            profile_on=not args.no_profile)
-    except (GCCheckError, VMError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    tracer, profile, result, wall_s, metrics = _record_one(
+        source, stdin, args.config, args.model, args.gc_interval,
+        profile_on=not args.no_profile)
+    if result.status != "ok":
+        print(f"error: {result.detail}", file=sys.stderr)
         return 2
 
     tracer.write_jsonl(args.out)

@@ -45,10 +45,9 @@ from . import clock as obs_clock
 from ..api import envelopes
 from . import runtime
 from .metrics import MetricsRegistry
-from ..gc.collector import Collector
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
-from ..machine.vm import VM
+from ..machine.vm import VMError, run_program
 
 SCHEMA = envelopes.OBS_SENTINEL
 RECORD_SCHEMA = envelopes.TRAJECTORY
@@ -333,29 +332,26 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
 
     Each run gets its own metrics registry, the source of its GC phase
     totals; it is folded into the caller's registry, if any, after the
-    run.  Each VM is released when its run ends, so no finished VM
-    waits for Python's cyclic collector inside a later timed repeat."""
+    run.  ``run_program`` releases each VM when its run ends, so no
+    finished VM waits for Python's cyclic collector inside a later
+    timed repeat."""
     issues: list[str] = []
     clock = obs_clock.get_clock()
     outer = runtime.get_metrics()
     best: tuple[dict, dict] | None = None
     for rep in range(max(1, repeats)):
         registry = runtime.set_metrics(MetricsRegistry())
-        vm = None
         try:
             config = CompileConfig.named(config_name, MODELS[model_key])
-            collector = Collector()
             t0 = clock()
             compiled = compile_source(source, config)
-            vm = VM(compiled.asm, config.model, collector=collector,
-                    gc_interval=gc_interval)
-            vm.stdin = stdin
-            result = vm.run()
+            result = run_program(compiled.asm, config.model, stdin=stdin,
+                                 gc_interval=gc_interval)
             wall_s = (clock() - t0) / 1e9
         finally:
             runtime.set_metrics(outer)
-            if vm is not None:
-                vm.release()
+        if result.status != "ok":
+            raise VMError(result.describe())
         if outer is not None:
             outer.merge(registry)
         counts = {"exit_code": result.exit_code, "cycles": result.cycles,
@@ -375,7 +371,7 @@ def _measure(source: str, stdin: str, config_name: str, model_key: str,
                 "gc_mark_ns": _hist_stat(registry, "gc.mark_ns", "sum"),
                 "gc_sweep_ns": _hist_stat(registry, "gc.sweep_ns", "sum"),
                 "gc_max_pause_ns": _hist_stat(registry, "gc.pause_ns", "max"),
-                "live_bytes_after": collector.stats.live_bytes,
+                "live_bytes_after": result.gc_stats.live_bytes,
             })
     assert best is not None
     return best[0], best[1], issues

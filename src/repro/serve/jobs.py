@@ -78,6 +78,8 @@ def job_run(params: dict, defaults: JobDefaults) -> dict:
                         "max_instructions", defaults.max_instructions)))
     compiled = tc.compile(_source(params))
     result = tc.execute(compiled, stdin=params.get("stdin", ""))
+    if result.status != "ok":
+        raise JobError(result.describe())
     return build.run_envelope(result, compiled.asm.code_size(), config,
                               tc.options.model)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cfront import (
     Array, INT, Pointer, TypeError_, parse, typecheck,
 )
+from repro.cfront.ctypes import UINT
 from repro.cfront import cast as A
 
 
@@ -24,6 +25,16 @@ def typed_expr(body, decls="char *p; char *q; int i; int a[4]; "
 class TestExpressionTypes:
     def test_int_literal(self):
         assert typed_expr("42").ctype == INT
+
+    @pytest.mark.parametrize("literal", ["5u", "5U", "0x10uL",
+                                         "2147483648", "0x80000000"])
+    def test_unsigned_int_literal(self, literal):
+        # A u suffix, or a value too big for int (C89, 32-bit long).
+        assert typed_expr(literal).ctype == UINT
+
+    @pytest.mark.parametrize("literal", ["2147483647", "0x7FFFFFFF", "5L"])
+    def test_int_literal_that_fits(self, literal):
+        assert typed_expr(literal).ctype == INT
 
     def test_char_literal_is_int(self):
         assert typed_expr("'a'").ctype == INT

@@ -70,6 +70,10 @@ class TestDetails:
         text = unparse(tu)
         assert r'"a\n\t\"\\"' in text
 
+    def test_unsigned_suffix_renders(self):
+        text = unparse(parse("unsigned f(int i) { return i + 5u + 6; }"))
+        assert "((i + 5u) + 6)" in text
+
     def test_struct_definition_renders_once(self):
         tu = parse("struct s { int a; };\nstruct s x;")
         text = unparse(tu)

@@ -66,6 +66,19 @@ class TestToolchain:
         assert result.exit_code == 7
         assert result.output == "hi\n"
 
+    def test_run_returns_a_fault_instead_of_raising(self):
+        result = Toolchain(config="O").run(
+            "int main(void) { return strlen((char *)16); }")
+        assert result.status == "fault" and result.exit_code is None
+        assert result.describe() == "fault: unmapped address: 0x00000010"
+
+    def test_run_returns_a_failed_check_instead_of_raising(self):
+        result = Toolchain(config="g_checked").run(
+            "int main(void) { char *p = (char *)GC_malloc(8); char *q; "
+            "q = p - 1; return q != 0; }")
+        assert result.status == "check"
+        assert "outside its object" in result.detail
+
     def test_options_never_mutated_by_compile(self):
         # The historical bug: compile paths flipped AnnotateOptions.mode
         # on the caller's object.  The facade must copy.

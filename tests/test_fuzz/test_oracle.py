@@ -52,6 +52,11 @@ class TestMatrix:
             "int main(void) { int x = 1; return x / (x - 1); }", "g")
         assert out.status == "fault"
 
+    def test_unbounded_recursion_is_an_outcome(self):
+        out = compile_and_run("int f(int n) { return f(n + 1) + 1; }\n"
+                              "int main(void) { return f(0); }", "g")
+        assert (out.status, out.detail) == ("fault", "call stack overflow")
+
     def test_heap_exhaustion_is_an_outcome(self):
         source = ("int main(void) { char *p = GC_malloc(0x7ffffff0); "
                   "return p[0]; }")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfront.ctypes import WORD_SIZE
-from repro.gc import Collector, GCCheckError, round_size
+from repro.gc import Collector, GCCheckError, PAGE_SIZE, round_size
 
 
 def collector_with_roots():
@@ -122,6 +122,16 @@ class TestAllocationTrigger:
         for _ in range(3000):
             gc.malloc(64)
         assert gc.stats.collections == 0
+
+    def test_reclaimed_large_objects_pages_are_reused(self):
+        # One 8000-byte object is dropped per iteration: its two pages
+        # come back after a collection, so the loop never runs out of
+        # heap and the heap stays a few dozen pages.
+        gc, _ = collector_with_roots()
+        for i in range(10_000):
+            assert gc.malloc(8000) != 0, f"NULL at iteration {i}"
+        assert gc.stats.collections >= 1000
+        assert gc.heap._cursor - gc.heap.base <= 64 * PAGE_SIZE
 
 
 class TestRealloc:

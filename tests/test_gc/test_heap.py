@@ -133,6 +133,23 @@ class TestLargeObjects:
             for _ in range(10):
                 heap.allocate(2 * PAGE_SIZE)
 
+    def test_reclaimed_page_run_is_reused_for_an_exact_fit(self, heap):
+        heap.poison_byte = 0xDD
+        addr = heap.allocate(2 * PAGE_SIZE, atomic=True)
+        desc = heap.descriptor_for(addr)
+        heap.free_object(desc, 0)
+        cursor = heap._cursor
+        # Three pages is not an exact fit: it takes fresh pages.
+        other = heap.allocate(3 * PAGE_SIZE)
+        assert other == cursor and heap.descriptor_for(other).n_pages == 4
+        again = heap.allocate(2 * PAGE_SIZE)
+        assert again == addr and heap._cursor == cursor + 4 * PAGE_SIZE
+        assert heap.descriptor_for(again) is desc and not desc.atomic
+        assert heap.base_of(again + PAGE_SIZE + 8) == again
+        assert heap.memory.read_bytes(again, desc.obj_size) == bytes(
+            desc.obj_size)
+        assert heap.objects_in_use == 2
+
 
 class TestLiveObjectsIteration:
     def test_live_objects_enumerates_all(self, heap):

@@ -15,6 +15,19 @@ int main(void) {
 
 BAD = "char *f(int v) { return (char *)v; }\n"
 
+# Programs whose run fails: a fault inside a builtin, then unbounded
+# recursion.
+RUN_FAULTS = [
+    ("int main(void) { memset((char *)16, 0, 8); return 0; }",
+     "unmapped address: 0x00000010"),
+    ("int main(void) { return strlen((char *)16); }",
+     "unmapped address: 0x00000010"),
+    ('int main(void) { strcpy(0, "x"); return 0; }',
+     "unmapped address: 0x00000000"),
+    ("int f(int n) { return f(n + 1) + 1; }\n"
+     "int main(void) { return f(0); }", "call stack overflow"),
+]
+
 
 @pytest.fixture
 def demo_file(tmp_path):
@@ -193,6 +206,19 @@ class TestCcCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: load fault")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source, message", RUN_FAULTS,
+                             ids=["memset", "strlen", "strcpy", "recursion"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_run_faults_are_diagnostics(self, tmp_path, capsys, source,
+                                        message, flags):
+        path = tmp_path / "fault.c"
+        path.write_text(source)
+        assert main(["cc", str(path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}\n")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestBenchCommand:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.annotate import AnnotateOptions
-from repro.machine import CompileConfig, VM, compile_source, run_source
+from repro.machine import CompileConfig, VM, compile_source
 from repro.machine.models import PENTIUM_90, SPARC_10
 
 SRC = ("char *walk(char *p, int n) { while (n--) p++; return p; }\n"
@@ -69,23 +69,3 @@ class TestCompileSource:
         plain = compile_source(SRC, CompileConfig.named("O_safe"))
         assert richer.keep_lives >= plain.keep_lives
 
-
-class TestRunSource:
-    def test_one_shot(self):
-        result = run_source(SRC, CompileConfig.named("O"))
-        assert result.exit_code == 9
-
-    def test_stdin_plumbing(self):
-        src = ("int main(void) { return getchar(); }")
-        result = run_source(src, stdin="A")
-        assert result.exit_code == ord("A")
-
-    def test_gc_interval_plumbing(self):
-        result = run_source(SRC, CompileConfig.named("O_safe"), gc_interval=3)
-        assert result.exit_code == 9
-        assert result.collections > 0
-
-    def test_max_instructions_plumbing(self):
-        from repro.machine import VMError
-        with pytest.raises(VMError):
-            run_source("int main(void) { for (;;) ; }", max_instructions=5_000)

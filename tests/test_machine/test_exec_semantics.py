@@ -73,6 +73,15 @@ CASES = [
     ("int main(void) { char *p = (char *)GC_malloc(10); p[3] = 42; return p[3] + p[4]; }", 42),
     ("int main(void) { unsigned int a = 0xFFFFFFFF; return a > 10; }", 1),
     ("int main(void) { return 2[\"abc\"]; }", ord('c')),
+    # A u suffix, or a value too big for int, makes a literal unsigned.
+    ("int main(void) { return 4294967295u >> 4; }", 0x0FFFFFFF),
+    ("int main(void) { return 0x80000000 >> 4; }", 0x08000000),
+    ("int main(void) { int m = -1; return m < 5u; }", 0),
+    # unsigned char and short promote to int: these compares are signed.
+    ("int main(void) { unsigned char c = 200; int x = -1; "
+     "return (c < x) * 2 + (c > x); }", 1),
+    ("int main(void) { unsigned short h = 60000; int x = -1; "
+     "return (h <= x) * 2 + (h >= x); }", 1),
 ]
 
 

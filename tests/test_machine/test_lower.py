@@ -221,7 +221,10 @@ class TestConstantFolding:
     @pytest.mark.parametrize("expr, value", [
         ("-7 / 2", 0xFFFFFFFD),
         ("-7 % 2", 0xFFFFFFFF),
-        ("0x80000000 >> 4", 0xF8000000),      # the literal is an int
+        ("0x80000000 >> 4", 0x08000000),      # too big for int: unsigned
+        ("4294967295u >> 4", 0x0FFFFFFF),
+        ("0x7FFFFFFF >> 4", 0x07FFFFFF),
+        ("-1 < 5u", 0),
         ("(unsigned)0xFFFFFFF0 >> 4", 0x0FFFFFFF),
         ("1 << 32", 1),                       # shift count masked to 5 bits
         ("7 - -3", 10),

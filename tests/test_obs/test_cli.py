@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as repro_main
+from repro.machine import vm as vm_module
 from repro.obs import runtime, sentinel
 from repro.obs.cli import main as obs_main
 from repro.obs.tracer import load_jsonl
@@ -85,6 +86,28 @@ class TestObsRecord:
         with pytest.raises(SystemExit):
             obs_main(["record", "--workload", "nosuch"])
 
+    @pytest.mark.parametrize("source, message", [
+        ("int main(void) { memset((char *)16, 0, 8); return 0; }",
+         "unmapped address: 0x00000010"),
+        ("int main(void) { return strlen((char *)16); }",
+         "unmapped address: 0x00000010"),
+        ('int main(void) { strcpy(0, "x"); return 0; }',
+         "unmapped address: 0x00000000"),
+        ("int f(int n) { return f(n + 1) + 1; }\n"
+         "int main(void) { return f(0); }", "call stack overflow"),
+    ], ids=["memset", "strlen", "strcpy", "recursion"])
+    def test_run_faults_are_diagnostics(self, tmp_path, capsys, source,
+                                        message):
+        path = tmp_path / "fault.c"
+        path.write_text(source)
+        out = tmp_path / "trace.jsonl"
+        assert obs_main(["record", "--source", str(path), "--quiet",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert runtime.tracing_enabled() is False
+
 
 class TestObsReport:
     def test_report_roundtrip(self, prog_file, tmp_path, capsys):
@@ -128,13 +151,13 @@ class TestObsTrajectory:
     def test_trajectory_record_is_an_untraced_sentinel_cell(
             self, tmp_path, monkeypatch):
         traced = []
-        real_run = sentinel.VM.run
+        real_run = vm_module.VM.run
 
         def run(vm):
             traced.append(vm.gc.tracer.enabled)
             return real_run(vm)
 
-        monkeypatch.setattr(sentinel.VM, "run", run)
+        monkeypatch.setattr(vm_module.VM, "run", run)
         out = tmp_path / "BENCH.jsonl"
         assert obs_main(["trajectory", "--workload", "miniawk",
                          "--configs", "O", "--quiet",

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from repro.machine import vm as vm_module
 from repro.obs import runtime, sentinel
 from repro.obs.cli import main as obs_main
 from repro.obs.metrics import MetricsRegistry
@@ -324,12 +325,12 @@ class TestRunSentinel:
     def test_measure_releases_every_vm(self, monkeypatch):
         alive = []
 
-        class TrackedVM(sentinel.VM):
+        class TrackedVM(vm_module.VM):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 alive.append(weakref.ref(self))
 
-        monkeypatch.setattr(sentinel, "VM", TrackedVM)
+        monkeypatch.setattr(vm_module, "VM", TrackedVM)
         was_enabled = pygc.isenabled()
         pygc.disable()
         try:

@@ -8,7 +8,7 @@ import pytest
 from repro.api import envelopes
 from repro.api.build import dumps_canonical
 from repro.serve import Client, ServeConfig, ServeError, start_in_thread
-from repro.serve.jobs import run_job
+from repro.serve.jobs import JobError, run_job
 from repro.serve.quota import TENANT_BUDGET, TENANT_INFLIGHT
 
 POINTERY = "char *f(char *p) { return p + 1; }"
@@ -53,6 +53,19 @@ class TestRoundTrips:
             with pytest.raises(ServeError) as err:
                 client.run("int main( {")          # parse error
         assert err.value.code == "job_failed"
+
+    @pytest.mark.parametrize("source, config, message", [
+        ("int main(void) { return strlen((char *)16); }", "O",
+         "fault: unmapped address: 0x00000010"),
+        ("int main(void) { char *p = (char *)GC_malloc(8); char *q; "
+         "q = p - 1; return q != 0; }", "g_checked",
+         "check: pointer arithmetic moved"),
+    ], ids=["fault", "check"])
+    def test_failed_run_is_a_job_error(self, source, config, message):
+        with pytest.raises(JobError) as err:
+            run_job("run", {"source": source, "config": config},
+                    ServeConfig().defaults())
+        assert str(err.value).startswith(message)
 
     def test_unknown_method_is_typed(self, daemon):
         with Client(port=daemon.port) as client:
