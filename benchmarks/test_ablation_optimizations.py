@@ -10,15 +10,20 @@ The paper argues each annotation-level optimization matters:
    dramatically" the number of KEEP_LIVE invocations.
 
 Each ablation row measures KEEP_LIVE counts and run cycles with one
-optimization disabled against the full annotator.
+optimization disabled against the full annotator.  One more row
+measures the opt-in induction-variable pass (``opt/indvar.py``), the
+paper's second named source of disguised pointers.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.annotate import AnnotateOptions
 from repro.machine.driver import CompileConfig, compile_source
 from repro.machine.models import SPARC_10
-from repro.machine.vm import VM
+from repro.machine.opt import DEFAULT_PASSES
+from repro.machine.vm import VM, run_program
 from repro.workloads import WORKLOADS, load_workload
 
 VARIANTS = {
@@ -117,3 +122,45 @@ def test_ablation_naive_keep_live(benchmark):
     assert naive_pct > 3 * barrier_pct, (
         f"naive call ({naive_pct:.0f}%) should dwarf the barrier "
         f"({barrier_pct:.0f}%)")
+
+
+# The default pipeline with indvar run before deadcode, which removes
+# the address arithmetic the walking pointer replaces.
+INDVAR_PASSES = tuple(p for p in DEFAULT_PASSES if p != "deadcode") + (
+    "indvar", "deadcode")
+
+
+def test_ablation_indvar(benchmark):
+    """The opt-in induction-variable pass keeps every paper workload's
+    answer at O and O_safe, and it transforms the O code of cfrac and
+    miniawk."""
+
+    def measure():
+        rows = {}
+        for workload, spec in WORKLOADS.items():
+            source = load_workload(workload)
+            for name in ("O", "O_safe"):
+                base = CompileConfig.named(name)
+                for passes in (base.passes, INDVAR_PASSES):
+                    config = dataclasses.replace(base, passes=passes)
+                    compiled = compile_source(source, config)
+                    rows[workload, name, passes] = (compiled, run_program(
+                        compiled.asm, SPARC_10, stdin=spec.stdin))
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["indvar"] = {
+        f"{w}/{c}": {"code_size": [rows[w, c, p][0].code_size
+                                   for p in (DEFAULT_PASSES, INDVAR_PASSES)],
+                     "cycles": [rows[w, c, p][1].cycles
+                                for p in (DEFAULT_PASSES, INDVAR_PASSES)]}
+        for w, c, p in rows if p == DEFAULT_PASSES}
+    for (workload, name, passes), (_, result) in rows.items():
+        base = rows[workload, name, DEFAULT_PASSES][1]
+        assert result.status == base.status == "ok", (workload, name)
+        assert (result.exit_code, result.output) == (
+            base.exit_code, base.output), (workload, name)
+    for workload in ("cfrac", "miniawk"):
+        base, with_indvar = (rows[workload, "O", p][0].asm.render()
+                             for p in (DEFAULT_PASSES, INDVAR_PASSES))
+        assert with_indvar != base, workload

@@ -67,7 +67,7 @@ FUZZ = _register("fuzz", 1, "python -m repro.fuzz --json / serve")
 CACHE_STATS = _register("cache-stats", 1, "repro cache stats --json")
 CACHE_VERIFY = _register("cache-verify", 1, "repro cache verify --json")
 CHAOS = _register("chaos", 1, "repro chaos --json")
-EXEC_CACHE = _register("exec-cache", 2,
+EXEC_CACHE = _register("exec-cache", 3,
                        "cache key / code-version salt (on disk)")
 OBS_TRACE = _register("obs-trace", 1,
                       "JSONL traces (--trace, repro.obs record)")

@@ -18,10 +18,6 @@ class Symbol:
     storage: str | None = None  # 'static' | 'extern' | None
     is_temp: bool = False  # compiler-introduced temporary
 
-    @property
-    def is_pointer_var(self) -> bool:
-        return self.ctype.is_pointer
-
 
 class SymbolTable:
     """A chain of scopes.  ``push``/``pop`` bracket blocks and functions."""
@@ -54,9 +50,6 @@ class SymbolTable:
             if name in scope:
                 return scope[name]
         return None
-
-    def lookup_local(self, name: str) -> Symbol | None:
-        return self._scopes[-1].get(name)
 
     def globals(self) -> dict[str, Symbol]:
         return dict(self._scopes[0])

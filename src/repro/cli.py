@@ -62,14 +62,12 @@ from .api.build import (
     annotate_envelope, bench_envelope, check_envelope, dumps_canonical,
     run_envelope,
 )
-from .cfront.errors import CFrontError
 from .core.annotate import AnnotateOptions
 from .exec import cache as exec_cache
 from .exec.cli import add_cache_parser, resolve_cache_dir
 from .machine.models import MODELS
-from .machine.vm import VMError
 from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
-                      obs_session)
+                      obs_session, run_main, usage_error)
 from .postproc import postprocess
 from .resil.cli import add_chaos_parser
 from .serve.cli import add_serve_parser
@@ -154,7 +152,10 @@ def cmd_cc(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     tc = Toolchain(model=args.model, workers=args.workers, sink=args.sink)
     workloads = tuple(args.workloads.split(",")) if args.workloads else None
-    rows = tc.bench(workloads)
+    try:
+        rows = tc.bench(workloads)
+    except KeyError as exc:  # as serve's bench job reports it
+        usage_error(f"unknown workload {exc.args[0]!r}")
     envelope = bench_envelope(rows, args.model)
     if args.json:
         print(dumps_canonical(envelope))
@@ -244,15 +245,13 @@ def main(argv: list[str] | None = None) -> int:
         caches = exec_cache.open_caches(cache_dir)
         for cache in caches:
             exec_cache.install_cache(cache)
-    try:
+
+    def command() -> int:
         with obs_session(trace_file, profile_on, metrics_out):
             return args.fn(args)
-    except (CFrontError, VMError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+    try:
+        return run_main(command)
     finally:
         for cache in caches:
             s = cache.stats

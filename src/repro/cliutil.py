@@ -16,6 +16,11 @@ here too, so ``repro``, ``repro.fuzz``, ``repro serve`` and ``repro
 chaos`` all share one spelling and :class:`repro.api.Client` callers
 see the same serialization the CLIs print.  :func:`obs_session` is the
 one runtime behind ``--trace`` / ``--profile`` / ``--metrics-out``.
+
+:func:`run_main` is the one top-level error handler of ``repro``,
+``repro.obs`` and ``repro.fuzz``, and :func:`usage_error` their one way
+to reject an argument: bad input ends in ``error: ...`` and exit code
+2, never a traceback.
 """
 
 from __future__ import annotations
@@ -23,9 +28,34 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Iterator
+from typing import Callable, Iterator, NoReturn
 
+from .cfront.errors import CFrontError
+from .machine.vm import VMError
 from .obs import runtime as obs_runtime
+
+
+# What a CLI reports as ``error: ...`` instead of a traceback: a file
+# that cannot be read or decoded, a source that does not compile, a
+# program the VM cannot load.
+_INPUT_ERRORS = (CFrontError, VMError, OSError, UnicodeDecodeError)
+
+
+def usage_error(message: str) -> NoReturn:
+    """Reject a command-line argument the way argparse does: the message
+    on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def run_main(command: Callable[[], int]) -> int:
+    """Run a CLI's ``command``; an input error prints ``error: ...`` to
+    stderr and returns exit code 2."""
+    try:
+        return command()
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def add_report_flags(p: argparse.ArgumentParser, *, json_schema: str,
@@ -106,4 +136,4 @@ def obs_session(trace: str | None, profile: bool,
 
 
 __all__ = ["add_report_flags", "add_obs_flags", "add_cache_flags",
-           "obs_session"]
+           "obs_session", "run_main", "usage_error"]

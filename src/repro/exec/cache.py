@@ -20,7 +20,7 @@ Key anatomy — the SHA-256 of a canonical JSON object::
                  naive_keep_live, run_cpp, annotate:{...}}}
 
 and for result-cache keys additionally the run parameters
-``{compile_key, stdin, gc_interval, poison, postprocessed, entry,
+``{compile_key, stdin, gc_interval, poison, postprocessed,
 max_instructions}`` plus, when active, ``sink`` (allocation sinking).
 Any component changing — one config flag, one optimizer pass, the
 salt — produces a different address, so "invalidation" is structural:
@@ -395,7 +395,7 @@ class ResultCache(_DiskCache):
 
     def key_for(self, source: str, config, *, stdin: str = "",
                 gc_interval: int = 0, poison: bool = False,
-                postprocessed: bool = False, entry: str = "main",
+                postprocessed: bool = False,
                 max_instructions: int = 500_000_000,
                 sink: bool = False) -> str | None:
         fp = config_fingerprint(config)
@@ -404,7 +404,7 @@ class ResultCache(_DiskCache):
         body = {
             "source": source, "config": fp, "stdin": stdin,
             "gc_interval": gc_interval, "poison": poison,
-            "postprocessed": postprocessed, "entry": entry,
+            "postprocessed": postprocessed,
             "max_instructions": max_instructions}
         # Sinking salts the key only when active, so every key minted
         # before the knob existed still addresses the same entry.

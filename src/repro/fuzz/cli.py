@@ -26,7 +26,7 @@ import sys
 
 from ..api import Toolchain
 from ..api.build import dumps_canonical, fuzz_envelope
-from ..cliutil import add_report_flags, obs_session
+from ..cliutil import add_report_flags, obs_session, run_main
 from ..exec import cache as exec_cache
 from ..exec.cli import resolve_cache_dir
 from ..machine.models import MODELS
@@ -141,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
             os.path.join(cache_dir, "compile")),)
         for cache in caches:
             exec_cache.install_cache(cache)
-    try:
+
+    def command() -> int:
         with obs_session(args.trace, args.profile, args.metrics_out):
             if args.rebreak_addrfold:
                 from .brokenpass import rebroken_addrfold
@@ -150,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
                 with rebroken_addrfold():
                     return execute()
             return execute()
+
+    try:
+        return run_main(command)
     finally:
         for cache in caches:
             s = cache.stats

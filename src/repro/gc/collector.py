@@ -477,9 +477,6 @@ class Collector:
         """GC_base: start of the live heap object containing ``addr``."""
         return self.heap.base_of(addr)
 
-    def is_heap_pointer(self, addr: int) -> bool:
-        return self.heap.base_of(addr) is not None
-
     def same_obj(self, p: int, q: int) -> int:
         """GC_same_obj(p, q): check that ``p`` points to the same heap
         object as ``q``; return ``p``.

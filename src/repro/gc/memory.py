@@ -49,15 +49,6 @@ class Memory:
 
     # -- mapping ----------------------------------------------------------
 
-    def map_page(self, addr: int) -> bytearray:
-        """Ensure the page containing ``addr`` exists; return it."""
-        idx = addr >> PAGE_SHIFT
-        page = self._pages.get(idx)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[idx] = page
-        return page
-
     def map_range(self, start: int, size: int) -> None:
         for idx in range(start >> PAGE_SHIFT, (start + size - 1 >> PAGE_SHIFT) + 1):
             if idx not in self._pages:

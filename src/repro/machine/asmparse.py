@@ -99,13 +99,6 @@ def parse_instruction(line: str, line_no: int = 0) -> MInst:
     raise AsmParseError(f"unknown mnemonic {op!r}", line_no, line)
 
 
-def parse_function(text: str) -> MFunc:
-    funcs = parse_program_text(text).functions
-    if len(funcs) != 1:
-        raise ValueError(f"expected exactly one function, got {len(funcs)}")
-    return next(iter(funcs.values()))
-
-
 def parse_program_text(text: str) -> MProgram:
     """Parse rendered assembly back into an MProgram (code only; globals
     are carried separately)."""

@@ -28,7 +28,8 @@ overhead the postprocessor then recovers).
 The pass is *not* in the default pipeline (the calibrated tables in
 EXPERIMENTS.md were measured without it); enable it with
 ``CompileConfig(passes=(..., "indvar", ...))``.  The ablation benchmark
-measures its effect.
+(``test_ablation_indvar`` in ``benchmarks/test_ablation_optimizations.py``)
+measures its effect on the paper workloads at O and O_safe.
 
 Constraints (all conservative):
 * natural loop = backward branch to a label, with no branches from

@@ -7,10 +7,11 @@ one closure call per MInst.  In hot inner blocks that toll dominates —
 the arithmetic inside the closures is cheap compared to the dispatch
 around them.  A *superinstruction* collapses a straight-line run of
 fusable instructions into a single ``exec``-compiled closure: registers
-are cached in Python locals across the run, ALU and unary ops are the
-operator table's expressions (``vm.ALU_EXPRS``/``UNARY_EXPRS``) over
-those locals, loads/stores keep their page-cache fast path inline, and
-the loop dispatches once for the whole run.
+are cached in Python locals across the run, every straight-line op is
+its ``vm.statement`` rendered over those locals (the plain closures
+render the same statements), loads and stores read and write the page
+in place through ``struct`` codecs, and the loop dispatches once for
+the whole run.
 
 A run may contain conditional branches as *early exits*: the fused
 closure evaluates the condition inline, and on a taken branch writes
@@ -62,8 +63,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
-from .asm import ALU_OPS, BRANCH_OPS, MInst, UNARY_OPS
-from .vm import ALU_EXPRS, UNARY_EXPRS, VMError, _MASK, _OP_HELPERS, _RET_PC
+from .asm import BRANCH_OPS, MInst
+from .vm import STRAIGHT_OPS, VMError, _OP_HELPERS, _RET_PC, shape, statement
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
@@ -80,27 +81,39 @@ MIN_RUN = 2
 FUSE_AFTER = 64
 
 
-# Straight-line ops always fuse and never end a run.  Calls never fuse
-# (a collection may run inside them).  ``_find_runs`` decides the rest:
-# a targeted label's successor is a branch landing site; conditional
-# branches fuse as early exits and jmp/ret end a run; branches and
-# ``la`` fuse only when their symbol resolves (an undefined one must
-# keep its raise-on-execute closure).
+# Straight-line ops (``vm.STRAIGHT_OPS`` and the zero-cost markers)
+# fuse and never end a run, except an ``la`` of an undefined symbol,
+# which keeps its raise-on-execute closure.  Calls never fuse (a
+# collection may run inside them).  ``_find_runs`` decides the rest: a
+# targeted label's successor is a branch landing site; conditional
+# branches fuse as early exits and jmp/ret end a run, a branch only
+# when its label resolves.
 _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
-_STRAIGHT_OPS = frozenset((*_NO_CODE_OPS, "li", "mov", "ld", "st",
-                           *ALU_OPS, *UNARY_OPS))
+_STRAIGHT_OPS = _NO_CODE_OPS | STRAIGHT_OPS
 
-# Little-endian codecs for the inline page fast path of ld/st, keyed
-# by (width, signed) and width.  ``unpack_from`` reads the page in place:
-# a word load costs 91 ns against 232 ns for slicing the page and
+# The fused tier's in-page access: little-endian ``struct`` codecs, named
+# entries of the fused environment.  ``unpack_from`` reads the page in
+# place: a word load costs 91 ns against 232 ns for slicing the page and
 # calling ``int.from_bytes`` (CPython 3.11 on a Xeon).
-_UNPACK = {(w, signed): struct.Struct(fmt).unpack_from
-           for w, signed, fmt in ((4, False, "<I"), (4, True, "<I"),
-                                  (2, False, "<H"), (2, True, "<h"),
-                                  (1, False, "<B"), (1, True, "<b"))}
-_PACK = {w: struct.Struct(fmt).pack_into
-         for w, fmt in ((4, "<I"), (2, "<H"), (1, "<B"))}
+_CODECS = {
+    "_u1": struct.Struct("<B").unpack_from,
+    "_s1": struct.Struct("<b").unpack_from,
+    "_u2": struct.Struct("<H").unpack_from,
+    "_s2": struct.Struct("<h").unpack_from,
+    "_u4": struct.Struct("<I").unpack_from,
+    "_w1": struct.Struct("<B").pack_into,
+    "_w2": struct.Struct("<H").pack_into,
+    "_w4": struct.Struct("<I").pack_into,
+}
+
+
+def _struct_access(width: int, signed: bool, page: str, off: str,
+                   value: str | None = None) -> str:
+    """The fused tier's in-page access (see ``vm.statement``)."""
+    if value is None:
+        return f"_{'s' if signed else 'u'}{width}({page}, {off})[0]"
+    return f"_w{width}({page}, {off}, {value})"
 
 
 def _find_runs(vm, insts: list[MInst],
@@ -118,13 +131,12 @@ def _find_runs(vm, insts: list[MInst],
     names it), so the run starts right after it, and the backward jump
     then targets the run's own start and loops in place."""
     targeted = {inst.symbol for inst in insts if inst.op in BRANCH_OPS}
-    global_addr = vm.global_addr
-    func_addr = vm.func_addr
     runs: dict[int, int] = {}
     start = -1
     for i, inst in enumerate(insts):
         op = inst.op
-        if op in _STRAIGHT_OPS:
+        if op in _STRAIGHT_OPS and (op != "la"
+                                    or vm._immediate(inst) is not None):
             if start < 0:
                 start = i
             continue
@@ -138,10 +150,7 @@ def _find_runs(vm, insts: list[MInst],
                     runs[start] = i
                 start = -1
             continue
-        if (op == "ret"
-                or (op in BRANCH_OPS and inst.symbol in labels)
-                or (op == "la" and (inst.symbol in global_addr
-                                    or inst.symbol in func_addr))):
+        if op == "ret" or (op in BRANCH_OPS and inst.symbol in labels):
             if start < 0:
                 start = i
             elif op == "jmp" or op == "ret":
@@ -198,16 +207,8 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         "_LD": vm._load,
         "_STO": vm._store,
         **_OP_HELPERS,
+        **_CODECS,
     }
-    bound: dict[int, str] = {}
-
-    def bind(fn) -> str:
-        name = bound.get(id(fn))
-        if name is None:
-            name = f"_f{len(bound)}"
-            bound[id(fn)] = name
-            env[name] = fn
-        return name
 
     # All register loads are hoisted to a preamble before the run body
     # (the register dict cannot change while the closure runs — only
@@ -327,7 +328,6 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         body.append(f"{indent}return {target}")
 
     cycles = 0  # static cost of the fall-through path so far
-    tmp = 0
     for i in range(start, end + 1):
         inst = insts[i]
         op = inst.op
@@ -357,66 +357,12 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             # Zero cycles, no code; counts one instruction by position
             # (the unfused loop dispatches its op_skip closure once).
             continue
-        if op == "li":
-            val = (inst.imm or 0) & _MASK
-            body.append(f"    {wr(inst.rd)} = {val}")
-        elif op == "la":
-            addr = vm.global_addr.get(inst.symbol)
-            if addr is None:
-                addr = vm.func_addr[inst.symbol]
-            body.append(f"    {wr(inst.rd)} = {addr}")
-        elif op == "mov":
-            src = rd(inst.rs1)
-            body.append(f"    {wr(inst.rd)} = {src}")
-        elif op in ALU_OPS:
-            a = rd(inst.rs1)
-            if inst.rs2 is not None:
-                b = rd(inst.rs2)
-            else:
-                b = str((inst.imm or 0) & _MASK)
-            body.append(f"    {wr(inst.rd)} = {ALU_EXPRS[op].format(a=a, b=b)}")
-        elif op in UNARY_OPS:
-            a = rd(inst.rs1)
-            body.append(f"    {wr(inst.rd)} = {UNARY_EXPRS[op].format(a=a)}")
-        elif op == "ld":
-            base = rd(inst.rs1)
-            idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
-            w = inst.width
-            t = tmp = tmp + 1
-            body.append(f"    _a{t} = ({base} + {idx}) & 4294967295")
-            body.append(f"    _o{t} = _a{t} & 4095")
-            body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
-            dst = wr(inst.rd)
-            if w == 4:
-                body.append(f"    if _p{t} is None or _o{t} > 4092:")
-                body.append(f"        {dst} = _LD(_a{t}, 4, False)")
-                body.append(f"    else:")
-                body.append(f"        {dst} = "
-                            f"{bind(_UNPACK[4, False])}(_p{t}, _o{t})[0]")
-            else:
-                body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
-                body.append(f"        {dst} = _LD(_a{t}, {w}, {inst.signed})")
-                body.append(f"    else:")
-                load = bind(_UNPACK[w, bool(inst.signed)])
-                body.append(f"        {dst} = {load}(_p{t}, _o{t})[0]"
-                            + (" & 4294967295" if inst.signed else ""))
-        elif op == "st":
-            val = rd(inst.rd)
-            base = rd(inst.rs1)
-            idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
-            w = inst.width
-            vmask = (1 << (8 * w)) - 1
-            t = tmp = tmp + 1
-            body.append(f"    _a{t} = ({base} + {idx}) & 4294967295")
-            body.append(f"    _o{t} = _a{t} & 4095")
-            body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
-            body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
-            body.append(f"        _STO(_a{t}, {val}, {w})")
-            body.append(f"    else:")
-            body.append(f"        {bind(_PACK[w])}(_p{t}, _o{t}, "
-                        f"({val}) & {vmask})")
-        else:  # pragma: no cover - guarded by _find_runs
-            raise VMError(f"cannot fuse {op!r}")
+        s = shape(inst)
+        a = rd(inst.rs1) if s[1] != "i" else ""
+        b = rd(inst.rs2) if s[1] == "rr" else str(vm._immediate(inst))
+        d = rd(inst.rd) if op == "st" else wr(inst.rd)
+        body.extend("    " + line
+                    for line in statement(s, a, b, d, str(i), _struct_access))
 
     if insts[end].op != "jmp" and insts[end].op != "ret":
         emit_exit(end, 0, end + 1, " " * 4)

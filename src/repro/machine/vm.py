@@ -24,13 +24,21 @@ Hot code goes one step further: a straight-line run of closures that
 is entered often enough is replaced by one ``exec``-compiled
 superinstruction with the same counts (``machine/superinst.py``).
 
-What each ALU and unary op computes is written once, as one Python
-expression in ``ALU_EXPRS``/``UNARY_EXPRS``.  The plain closures and
-the fused runs are compiled from that text, and the optimizer folds
-constants with it (``opt.local.eval_bin``), so a folded constant is the
-value the machine would have computed.  Loads and stores keep one fast
-path per tier (page slices here, ``struct`` codecs in fused runs) and
-share one slow path, ``VM._load``/``VM._store``.
+What each straight-line op executes is written once.  ``ALU_EXPRS``/
+``UNARY_EXPRS`` hold each operator's expression, and :func:`statement`
+renders every straight-line op (``li``, ``la``, ``mov``, the ALU and
+unary ops, ``ld`` at each width and signedness, ``st`` at each width)
+as Python statements over the texts of its operands.  The plain
+closures (one factory per :func:`shape`, compiled on first use) and the
+fused runs are compiled from those statements, and the optimizer folds
+constants with the expressions (``opt.local.eval_bin``), so a folded
+constant is the value the machine would have computed.  The one text
+each tier writes itself is the in-page access of a load or store: a
+page slice with ``int.from_bytes``/``to_bytes`` here, ``struct`` codecs
+in fused runs.  It stays per tier so that the two tiers' relative
+speed, which the vm2 gate times, does not move.  Both tiers take the
+same slow path, ``VM._load``/``VM._store``, across pages or into an
+unmapped one.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
 from ..obs import runtime as obs_runtime
 from ..obs.vmprof import CHECK_BUILTINS, VMProfile
-from .asm import ALU_OPS, ARG_REGS, FP, MInst, MProgram, RV, SCRATCH, SP, UNARY_OPS
+from .asm import ARG_REGS, FP, MInst, MProgram, RV, SCRATCH, SP
 from .models import MachineModel, SPARC_10
 
 FUNC_BASE = 0x0400_0000
@@ -185,31 +193,110 @@ def _op_functions(exprs: dict[str, str], params: str) -> dict:
 ALU_FUNCS = _op_functions(ALU_EXPRS, "a, b")
 UNARY_FUNCS = _op_functions(UNARY_EXPRS, "a")
 
-# The plain tier's closure factories, one per (op, operand form), each
-# compiled from the table on first use.  Forms: "rr" (two registers),
-# "ri" (register and immediate), "r" (unary; ``src2`` is unused).
+# The ops ``statement`` renders: everything but control transfer, calls
+# and the zero-cost markers.
+STRAIGHT_OPS = frozenset(("li", "la", "mov", "ld", "st",
+                          *ALU_EXPRS, *UNARY_EXPRS))
+
+
+def shape(inst: MInst) -> tuple[str, str, int, bool]:
+    """What the statement of a straight-line ``inst`` depends on besides
+    its registers and immediate: (op, operand form, width, signed).
+    Forms: "rr" (``rs1`` and ``rs2``), "ri" (``rs1`` and the immediate),
+    "r" (``rs1`` only) and "i" (the immediate only).  ``la`` is ``li``
+    of its symbol's address, and a word load's signedness is moot."""
+    op = inst.op
+    if op == "li" or op == "la":
+        return "li", "i", 4, False
+    if op == "mov" or op in UNARY_EXPRS:
+        return op, "r", 4, False
+    form = "ri" if inst.rs2 is None else "rr"
+    if op == "ld" or op == "st":
+        return op, form, inst.width, (op == "ld" and inst.width < 4
+                                      and bool(inst.signed))
+    return op, form, 4, False
+
+
+def statement(shape: tuple[str, str, int, bool], a: str, b: str, d: str,
+              t: str, access) -> list[str]:
+    """The lines of Python that execute one straight-line instruction of
+    ``shape``, the one statement of it both tiers compile.
+
+    ``a`` is the text of ``rs1``'s value and ``b`` that of ``rs2``'s or
+    of the immediate; ``d`` names ``rd``, which ``st`` reads and every
+    other op assigns.  ``t`` suffixes the temporaries, so several
+    statements can share one body.  ``ld`` and ``st`` take the shared
+    slow path ``_LD``/``_STO`` (``VM._load``/``VM._store``) across pages
+    or into an unmapped one; ``access(width, signed, page, off, value)``
+    renders the in-page access, the one text each tier writes itself:
+    with ``value`` None, the expression reading ``width`` bytes at
+    ``page[off]``, else the statement writing ``value`` there."""
+    op, form, width, signed = shape
+    if form == "i":
+        return [f"{d} = {b}"]
+    if op == "mov":
+        return [f"{d} = {a}"]
+    expr = ALU_EXPRS.get(op) or UNARY_EXPRS.get(op)
+    if expr is not None:
+        return [f"{d} = {expr.format(a=a, b=b)}"]
+    addr, off, page = f"_a{t}", f"_o{t}", f"_p{t}"
+    lines = [f"{addr} = ({a} + {b}) & 4294967295",
+             f"{off} = {addr} & 4095",
+             f"{page} = _PG.get({addr} >> 12)",
+             f"if {page} is None or {off} > {4096 - width}:"]
+    if op == "ld":
+        value = access(width, signed, page, off)
+        return lines + [f"    {d} = _LD({addr}, {width}, {signed})",
+                        "else:",
+                        f"    {d} = {value}" + (" & 4294967295" if signed
+                                                else "")]
+    value = f"({d} & {(1 << 8 * width) - 1})"
+    return lines + [f"    _STO({addr}, {d}, {width})",
+                    "else:",
+                    f"    {access(width, False, page, off, value)}"]
+
+
+def _slice_access(width: int, signed: bool, page: str, off: str,
+                  value: str | None = None) -> str:
+    """The plain tier's in-page access: a slice of the page."""
+    span = f"{page}[{off}:{off} + {width}]"
+    if value is None:
+        return (f"int.from_bytes({span}, 'little'"
+                + (", signed=True)" if signed else ")"))
+    return f"{span} = {value}.to_bytes({width}, 'little')"
+
+
+# The plain tier's closure factories, one per shape, each compiled from
+# its statement on first use.  A VM binds each factory it uses to its
+# state once, so its closures share the state's cells rather than each
+# allocating its own (linking is a share of every fuzz-oracle cell).
 _FACTORY_TEMPLATE = """\
-def make(regs, st, rd, rs1, src2, cost):
-    def op(pc):
-        regs[rd] = {expr}
-        st[1] += cost
-        return pc + 1
-    return op
+def bind(_R, _ST, _PG, _LD, _STO):
+    def make(rd, rs1, src2, cost):
+        def op(pc):
+{body}
+            _ST[1] += cost
+            return pc + 1
+        return op
+    return make
 """
-_FACTORIES: dict[tuple[str, str], object] = {}
+_FACTORIES: dict[tuple[str, str, int, bool], object] = {}
 
 
-def _op_factory(op: str, form: str):
-    """``make(regs, st, rd, rs1, src2, cost)`` for ``op`` in ``form``:
-    it returns the closure that executes one such instruction."""
-    factory = _FACTORIES.get((op, form))
+def _op_factory(shape: tuple[str, str, int, bool]):
+    """``bind(regs, counters, pages, load, store)`` for ``shape``: it
+    returns one VM's ``make(rd, rs1, src2, cost)``, where ``src2`` is
+    ``rs2`` or the immediate, and ``make`` returns the closure that
+    executes one such instruction."""
+    factory = _FACTORIES.get(shape)
     if factory is None:
-        expr = (UNARY_EXPRS if form == "r" else ALU_EXPRS)[op].format(
-            a="regs[rs1]", b="regs[src2]" if form == "rr" else "src2")
+        b = "_R[src2]" if shape[1] == "rr" else "src2"
+        body = statement(shape, "_R[rs1]", b, "_R[rd]", "", _slice_access)
         ns = dict(_OP_HELPERS)
-        exec(compile(_FACTORY_TEMPLATE.format(expr=expr),
-                     f"<{op}_{form}>", "exec"), ns)
-        factory = _FACTORIES[op, form] = ns["make"]
+        exec(compile(_FACTORY_TEMPLATE.format(
+            body="\n".join(" " * 12 + line for line in body)),
+            "<{}_{}_{}_{}>".format(*shape), "exec"), ns)
+        factory = _FACTORIES[shape] = ns["bind"]
     return factory
 
 
@@ -329,8 +416,9 @@ class VM:
             from . import superinst
             if superinst.FUSE_AFTER:
                 install = superinst.install_leaders
+        makers: dict = {}
         for name, insts in self.code.items():
-            ops = self._compile_function(insts, self.labels[name])
+            ops = self._compile_function(insts, self.labels[name], makers)
             if install is not None:
                 install(self, insts, self.labels[name], ops)
             elif self._profile is not None:
@@ -423,9 +511,12 @@ class VM:
             wrapped.append(w)
         return wrapped
 
-    def _compile_function(self, insts: list[MInst], labels: dict[str, int]) -> list:
+    def _compile_function(self, insts: list[MInst], labels: dict[str, int],
+                          makers: dict) -> list:
         """Translate an instruction list into a parallel list of
-        closures; closure i executes inst i and returns the next pc."""
+        closures; closure i executes inst i and returns the next pc.
+        ``makers`` holds the VM's bound closure factories, keyed by the
+        fields ``shape`` reads."""
         regs = self.regs
         st = self._st
         pages = self.memory._pages
@@ -437,67 +528,9 @@ class VM:
         def op_skip(pc):  # label / nop / keepsafe: zero cost
             return pc + 1
 
-        def make_li(rd, val, cost):
-            def op(pc):
-                regs[rd] = val
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_mov(rd, rs1, cost):
-            def op(pc):
-                regs[rd] = regs[rs1]
-                st[1] += cost
-                return pc + 1
-            return op
-
         def make_undef_symbol(symbol):
             def op(pc):
                 raise VMError(f"undefined symbol {symbol!r}")
-            return op
-
-        # Loads and stores read and write the page in place; page-
-        # crossing and unmapped accesses take VM._load / VM._store.
-        def make_ld_word(rd, rs1, rs2, imm, cost):
-            # The dominant load: aligned-in-page 4-byte word.
-            def op(pc):
-                a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
-                off = a & 0xFFF
-                page = pages.get(a >> 12)
-                if page is None or off > 0xFFC:
-                    regs[rd] = load(a, 4, False)
-                else:
-                    regs[rd] = int.from_bytes(page[off:off + 4], "little")
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_ld(rd, rs1, rs2, imm, width, signed, cost):
-            def op(pc):
-                a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
-                off = a & 0xFFF
-                page = pages.get(a >> 12)
-                if page is None or off + width > 0x1000:
-                    regs[rd] = load(a, width, signed)
-                else:
-                    regs[rd] = int.from_bytes(
-                        page[off:off + width], "little", signed=signed) & _MASK
-                st[1] += cost
-                return pc + 1
-            return op
-
-        def make_st(rd, rs1, rs2, imm, width, cost):
-            vmask = (1 << (8 * width)) - 1
-            def op(pc):
-                a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
-                off = a & 0xFFF
-                page = pages.get(a >> 12)
-                if page is None or off + width > 0x1000:
-                    store(a, regs[rd], width)
-                else:
-                    page[off:off + width] = (regs[rd] & vmask).to_bytes(width, "little")
-                st[1] += cost
-                return pc + 1
             return op
 
         def make_jmp(target, cost):
@@ -588,37 +621,18 @@ class VM:
             cost = model.cycles_for(op)
             if op == "label" or op == "nop" or op == "keepsafe":
                 ops.append(op_skip)
-            elif op == "li":
-                ops.append(make_li(inst.rd, (inst.imm or 0) & _MASK, cost))
-            elif op == "la":
-                addr = self.global_addr.get(inst.symbol)
-                if addr is None:
-                    addr = self.func_addr.get(inst.symbol)
-                if addr is None:
+            elif op in STRAIGHT_OPS:
+                src2 = (inst.rs2 if inst.rs2 is not None
+                        else self._immediate(inst))
+                if src2 is None:  # an la of an undefined symbol
                     ops.append(make_undef_symbol(inst.symbol))
-                else:
-                    ops.append(make_li(inst.rd, addr, cost))
-            elif op == "mov":
-                ops.append(make_mov(inst.rd, inst.rs1, cost))
-            elif op in ALU_OPS:
-                if inst.rs2 is not None:
-                    make, src2 = _op_factory(op, "rr"), inst.rs2
-                else:
-                    make, src2 = _op_factory(op, "ri"), (inst.imm or 0) & _MASK
-                ops.append(make(regs, st, inst.rd, inst.rs1, src2, cost))
-            elif op in UNARY_OPS:
-                ops.append(_op_factory(op, "r")(regs, st, inst.rd, inst.rs1,
-                                                None, cost))
-            elif op == "ld":
-                if inst.width == 4:  # signedness is irrelevant under the 32-bit mask
-                    ops.append(make_ld_word(inst.rd, inst.rs1, inst.rs2,
-                                            inst.imm or 0, cost))
-                else:
-                    ops.append(make_ld(inst.rd, inst.rs1, inst.rs2,
-                                       inst.imm or 0, inst.width, inst.signed, cost))
-            elif op == "st":
-                ops.append(make_st(inst.rd, inst.rs1, inst.rs2,
-                                   inst.imm or 0, inst.width, cost))
+                    continue
+                key = (op, inst.rs2 is None, inst.width, inst.signed)
+                make = makers.get(key)
+                if make is None:
+                    make = makers[key] = _op_factory(shape(inst))(
+                        regs, st, pages, load, store)
+                ops.append(make(inst.rd, inst.rs1, src2, cost))
             elif op == "jmp":
                 # A taken branch resumes at the instruction *after* the
                 # label (the decode loop did pc = label; pc += 1).
@@ -647,6 +661,19 @@ class VM:
             else:
                 raise VMError(f"cannot execute {op!r}")
         return ops
+
+    def _immediate(self, inst: MInst) -> int | None:
+        """The immediate operand of a straight-line ``inst``: an address
+        offset as written (a small negative one stays a one-digit int,
+        which Python adds faster), any other immediate masked, and for
+        ``la`` its symbol's address, None when the symbol is undefined."""
+        op = inst.op
+        if op == "ld" or op == "st":
+            return inst.imm or 0
+        if op != "la":
+            return (inst.imm or 0) & _MASK
+        addr = self.global_addr.get(inst.symbol)
+        return addr if addr is not None else self.func_addr.get(inst.symbol)
 
     # -- execution ------------------------------------------------------------
 
@@ -680,7 +707,7 @@ class VM:
         # path must stay one ``is None`` test.
         metrics = obs_runtime.get_metrics()
         t0_ns = obs_clock.now_ns() if metrics is not None else 0
-        span = tracer.span("vm.run", entry="main", model=self.model.name,
+        span = tracer.span("vm.run", model=self.model.name,
                            gc_interval=self.gc_interval)
         with span:
             try:
@@ -739,10 +766,6 @@ class VM:
     def _call(self, name: str) -> None:
         """Execute function ``name`` until it returns (recursive VM calls
         mirror the call stack; Python recursion depth bounds C depth)."""
-        builtin = BUILTINS.get(name)
-        if builtin is not None:
-            self._run_builtin(name, builtin)
-            return
         ops = self._ops.get(name)
         if ops is None:
             raise VMError(f"call to undefined function {name!r}")
@@ -763,12 +786,6 @@ class VM:
             raise VMError(f"store fault at 0x{addr:08x}") from None
 
     # -- builtins ------------------------------------------------------------
-
-    def _run_builtin(self, name: str, fn) -> None:
-        args = [self.regs[r] for r in ARG_REGS]
-        value, extra_cycles = fn(self, args)
-        self.regs[RV] = value & _MASK
-        self._st[1] += extra_cycles
 
     # I/O helpers used by builtins.
 

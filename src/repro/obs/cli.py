@@ -44,7 +44,8 @@ from .metrics import load_snapshot, render_snapshot
 from .report import render_text, summarize
 from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY,
                        check_trajectory, render_verdict, run_sentinel)
-from .tracer import load_jsonl
+from .tracer import TraceFormatError, load_jsonl
+from ..cliutil import run_main, usage_error
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
 from ..machine.vm import run_program
@@ -54,7 +55,7 @@ from ..workloads import AUX_WORKLOADS, WORKLOADS, load_workload
 def _workload_source(name: str) -> tuple[str, str]:
     if name not in WORKLOADS and name not in AUX_WORKLOADS:
         known = ", ".join(list(WORKLOADS) + list(AUX_WORKLOADS))
-        raise SystemExit(f"error: unknown workload {name!r} (known: {known})")
+        usage_error(f"unknown workload {name!r} (known: {known})")
     spec = WORKLOADS.get(name) or AUX_WORKLOADS[name]
     return load_workload(name), spec.stdin
 
@@ -92,7 +93,7 @@ def _record_one(source: str, stdin: str, config_name: str, model_key: str,
 
 def cmd_record(args: argparse.Namespace) -> int:
     if bool(args.workload) == bool(args.source):
-        raise SystemExit("error: give exactly one of --workload / --source")
+        usage_error("give exactly one of --workload / --source")
     if args.workload:
         source, stdin = _workload_source(args.workload)
     else:
@@ -145,7 +146,10 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    events = load_jsonl(args.trace)
+    try:
+        events = load_jsonl(args.trace)
+    except TraceFormatError as exc:
+        usage_error(f"{args.trace}: {exc}")
     summary = summarize(events, top=args.top)
     if args.json:
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
@@ -212,8 +216,10 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_sentinel(args: argparse.Namespace) -> int:
     configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
+    source, stdin = _workload_source(args.workload)
     verdict = run_sentinel(
-        workload=args.workload, model=args.model, configs=configs,
+        workload=args.workload, source=source, stdin=stdin,
+        model=args.model, configs=configs,
         repeats=args.repeats, gc_interval=args.gc_interval,
         path=args.file, append=args.append, label=args.label,
         quiet=args.quiet)
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return run_main(lambda: args.fn(args))
 
 
 if __name__ == "__main__":

@@ -247,17 +247,27 @@ class Tracer:
         json.dump(self.to_chrome(), out)
 
 
+class TraceFormatError(ValueError):
+    """A trace line that is not a JSON object."""
+
+
 def load_jsonl(source: TextIO | str | Iterable[str]) -> list[dict[str, Any]]:
     """Read a JSONL trace back into event dicts (meta line excluded)."""
     if isinstance(source, str):
         with open(source) as fh:
             return load_jsonl(fh)
     events = []
-    for line in source:
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"line {line_no}, column {exc.colno}: "
+                                   f"{exc.msg}") from None
+        if not isinstance(d, dict):
+            raise TraceFormatError(f"line {line_no}: not a JSON object")
         if d.get("kind") != "meta":
             events.append(d)
     return events

@@ -95,22 +95,3 @@ class Liveness:
 
     def dead_after(self, idx: int, reg: str) -> bool:
         return reg not in self.live_after[idx]
-
-    # -- collection-point queries (used by the allocation-sinking pass) ----
-
-    def call_sites(self) -> list[int]:
-        """Indices of every call/callr — the points where a collection
-        may run (builtin allocators collect; compiled callees may call
-        them transitively)."""
-        return [i for i, inst in enumerate(self.fn.insts)
-                if inst.op in ("call", "callr")]
-
-    def live_across_calls(self) -> set[str]:
-        """Registers whose values survive at least one potential
-        collection point.  A register holding the only reference to an
-        allocation must appear here for the object to be live across a
-        collection at all."""
-        out: set[str] = set()
-        for i in self.call_sites():
-            out |= self.live_after[i]
-        return out

@@ -161,7 +161,6 @@ class TestResultCacheKeys:
             cache.key_for(SRC_A, config, gc_interval=1),
             cache.key_for(SRC_A, config, poison=True),
             cache.key_for(SRC_A, config, postprocessed=True),
-            cache.key_for(SRC_A, config, entry="helper"),
             cache.key_for(SRC_A, config, max_instructions=1000),
         ]
         assert base not in variants

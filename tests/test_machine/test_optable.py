@@ -1,11 +1,14 @@
-"""One operator table: for every ALU and unary op, in every operand
+"""One instruction table: for every ALU and unary op, in every operand
 form, the plain closures, a fused run and constant folding compute the
-same value, and that value is the one an independent reference gives."""
+same value, and that value is the one an independent reference gives;
+every load and store leaves the same registers, memory and counters in
+both tiers, or raises the same fault."""
 
 import math
 
 import pytest
 
+from repro.gc.memory import PAGE_SIZE, STATIC_BASE
 from repro.machine import superinst
 from repro.machine.asm import ALU_OPS, MFunc, MInst, MProgram, UNARY_OPS
 from repro.machine.codegen import _BIN_TO_M
@@ -131,3 +134,79 @@ def test_division_by_zero_traps_alike_and_does_not_fold(op, form,
             run(prog, fused, monkeypatch)
         assert str(exc.value) == f"integer division by zero in {op}"
     assert eval_bin(IR_SUBOP[op], 7, 0) is None
+
+
+# -- loads and stores ---------------------------------------------------------
+
+BUF = STATIC_BASE  # where ``buf``, the program's only global, is linked
+# Every byte has its sign bit set, so sign and zero extension differ.
+PATTERN = bytes(0x80 | (37 * k & 0x7F) for k in range(2 * PAGE_SIZE))
+VALUE = 0x89ABCDEF
+UNMAPPED = 0x10
+
+
+def addresses(width):
+    """Where an access of ``width`` bytes lands: inside a page, at the
+    page's last offset that holds all of it, across into the next page
+    (the slow path) and on an unmapped page."""
+    where = {"in-page": BUF + 0x123, "last": BUF + PAGE_SIZE - width}
+    if width > 1:
+        where["across"] = BUF + PAGE_SIZE - width + 1
+    where["unmapped"] = UNMAPPED
+    return where
+
+
+MEM_CASES = [(op, width, signed, form, where)
+             for op, signs in (("ld", (False, True)), ("st", (False,)))
+             for width in (1, 2, 4) for signed in signs
+             for form in ("rr", "ri") for where in addresses(width)]
+
+
+def mem_program(op, width, signed, form, addr):
+    """``main`` loads ``addr`` into t2, or stores VALUE from t2 there,
+    addressed as a base register plus 8 in ``form``."""
+    insts = [MInst("li", rd="t3", imm=addr - 8)]
+    if form == "rr":
+        insts.append(MInst("li", rd="t4", imm=8))
+        index = {"rs2": "t4"}
+    else:
+        index = {"imm": 8}
+    if op == "st":
+        insts.append(MInst("li", rd="t2", imm=VALUE))
+    insts.append(MInst(op, rd="t2", rs1="t3", width=width, signed=signed,
+                       **index))
+    insts.append(MInst("ret"))
+    buf = GlobalVar("buf", len(PATTERN), init_bytes=PATTERN)
+    return MProgram({"main": MFunc("main", insts)}, {"buf": buf})
+
+
+@pytest.mark.parametrize("op, width, signed, form, where", MEM_CASES)
+def test_loads_and_stores_agree_across_tiers(op, width, signed, form, where,
+                                             monkeypatch):
+    addr = addresses(width)[where]
+    prog = mem_program(op, width, signed, form, addr)
+    if where == "unmapped":
+        kind = "load" if op == "ld" else "store"
+        for fused in (False, True):
+            with pytest.raises(VMError) as exc:
+                run(prog, fused, monkeypatch)
+            assert str(exc.value) == f"{kind} fault at 0x{addr:08x}"
+        return
+    plain = run(prog, False, monkeypatch)
+    fused = run(prog, True, monkeypatch)
+    assert plain.global_addr["buf"] == BUF
+    off = addr - BUF
+    memory = bytearray(PATTERN)
+    if op == "ld":
+        t2 = int.from_bytes(PATTERN[off:off + width], "little",
+                            signed=signed) & MASK
+    else:
+        t2 = VALUE
+        memory[off:off + width] = (VALUE % (1 << 8 * width)).to_bytes(
+            width, "little")
+    for vm in (plain, fused):
+        assert vm.regs["t2"] == t2
+        assert vm.memory.read_bytes(BUF, len(PATTERN)) == memory
+    assert plain.regs == fused.regs
+    assert (plain.instructions, plain.cycles) == (fused.instructions,
+                                                  fused.cycles)

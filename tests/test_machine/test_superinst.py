@@ -183,15 +183,15 @@ class TestCacheSalting:
                 == cache.key_for(PROGRAM, config, sink=False))
 
     def test_unsunk_keys_are_pinned(self, tmp_path):
-        # Fusion never enters a result key: these addresses were minted
-        # before superinstructions selected themselves, and cached
-        # cells must stay reachable under them.
+        # Fusion never enters a result key: these are the addresses of
+        # the repro-exec-cache/3 key shape, and cached cells must stay
+        # reachable under them whichever runs fuse.
         cache = ResultCache(str(tmp_path))
         source = "int main(void) { return 42; }\n"
         assert cache.key_for(source, CompileConfig.named("O")) == (
-            "0d9c41333b1effb85923abd98a2254fc"
-            "0bcc27a346a620266965e10f4aba3676")
+            "ce62f029ed4ec17060c6d7d53917b193"
+            "b4c0ff7747143d70200121eee9ae858b")
         assert cache.key_for(source, CompileConfig.named("g_checked"),
                              stdin="x", gc_interval=7) == (
-            "16556e7ca18ca619c7d40a1c214680e1"
-            "72250d16902ff56cd630e417c4a4ebc0")
+            "7290e3540ea55b4af10b899e6e974a83"
+            "2905285bcbae9975c1eb6f00d94f8537")
