@@ -67,7 +67,7 @@ from .exec import cache as exec_cache
 from .exec.cli import add_cache_parser, resolve_cache_dir
 from .machine.models import MODELS
 from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
-                      obs_session, run_main, usage_error)
+                      obs_session, read_text, run_main, usage_error)
 from .postproc import postprocess
 from .resil.cli import add_chaos_parser
 from .serve.cli import add_serve_parser
@@ -76,8 +76,7 @@ from .serve.cli import add_serve_parser
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    return read_text(path)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:

@@ -18,9 +18,10 @@ see the same serialization the CLIs print.  :func:`obs_session` is the
 one runtime behind ``--trace`` / ``--profile`` / ``--metrics-out``.
 
 :func:`run_main` is the one top-level error handler of ``repro``,
-``repro.obs`` and ``repro.fuzz``, and :func:`usage_error` their one way
-to reject an argument: bad input ends in ``error: ...`` and exit code
-2, never a traceback.
+``repro.obs`` and ``repro.fuzz``, :func:`usage_error` their one way to
+reject an argument and :func:`read_text` their one way to read an input
+file: bad input ends in ``error: ...`` and exit code 2, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def usage_error(message: str) -> NoReturn:
     on stderr, exit code 2."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def read_text(path: str) -> str:
+    """The text of the input file ``path``; text that is not UTF-8 is
+    rejected the way :func:`usage_error` rejects an argument, naming
+    the file."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        usage_error(f"{path}: {exc}")
 
 
 def run_main(command: Callable[[], int]) -> int:
@@ -136,4 +148,4 @@ def obs_session(trace: str | None, profile: bool,
 
 
 __all__ = ["add_report_flags", "add_obs_flags", "add_cache_flags",
-           "obs_session", "run_main", "usage_error"]
+           "obs_session", "read_text", "run_main", "usage_error"]

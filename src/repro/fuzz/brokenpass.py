@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..machine.ir import Inst, IRFunc, Vreg, basic_blocks
+from ..machine.cfg import basic_blocks
+from ..machine.ir import Inst, IRFunc, Vreg
 from ..machine import opt as opt_pipeline
 
 
@@ -38,7 +39,7 @@ def _broken_run(fn: IRFunc) -> bool:
     for inst in fn.insts:
         for a in inst.args:
             global_uses[a] = global_uses.get(a, 0) + 1
-    for block in basic_blocks(fn):
+    for block in basic_blocks(fn.insts):
         def_at: dict[Vreg, int] = {}
         for idx in block:
             inst = fn.insts[idx]

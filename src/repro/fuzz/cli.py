@@ -26,7 +26,7 @@ import sys
 
 from ..api import Toolchain
 from ..api.build import dumps_canonical, fuzz_envelope
-from ..cliutil import add_report_flags, obs_session, run_main
+from ..cliutil import add_report_flags, obs_session, read_text, run_main
 from ..exec import cache as exec_cache
 from ..exec.cli import resolve_cache_dir
 from ..machine.models import MODELS
@@ -91,8 +91,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def execute() -> int:
         if args.replay:
-            with open(args.replay) as fh:
-                source = fh.read()
+            source = read_text(args.replay)
             report = check_program(source, models=args.models,
                                    adv_interval=args.adv_interval,
                                    max_instructions=args.max_instructions,

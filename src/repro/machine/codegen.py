@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import ARG_REGS, FP, MFunc, MInst, MProgram, RV, SCRATCH, SP
-from .ir import Inst, IRFunc, IRProgram, Vreg, basic_blocks
+from .cfg import basic_blocks
+from .ir import Inst, IRFunc, IRProgram, Vreg
 from .models import MachineModel
 from .regalloc import Allocation, allocate
 
@@ -98,7 +99,7 @@ class FuncCodegen:
         for inst in self.fn.insts:
             for a in inst.args:
                 uses[a] = uses.get(a, 0) + 1
-        for block in basic_blocks(self.fn):
+        for block in basic_blocks(self.fn.insts):
             def_at: dict[Vreg, int] = {}
             redefined_after: dict[Vreg, int] = {}
             for idx in block:

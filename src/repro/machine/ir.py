@@ -1,7 +1,7 @@
 """Three-address intermediate representation.
 
 The IR is a flat instruction list per function with labels; optimizer
-passes build basic blocks on demand.  Values live in virtual registers
+passes build basic blocks on demand (:mod:`repro.machine.cfg`).  Values live in virtual registers
 (:class:`Vreg`); memory-resident locals (address-taken, aggregates, or
 everything in ``-g`` mode) live in named frame slots.
 
@@ -119,11 +119,6 @@ class IRFunc:
         self.frame_size = (offset + 7) // 8 * 8
         return self.frame_size
 
-    # -- queries ------------------------------------------------------------
-
-    def labels(self) -> dict[str, int]:
-        return {i.symbol: n for n, i in enumerate(self.insts) if i.op == "label"}
-
     def __repr__(self) -> str:
         body = "\n".join(f"  {i!r}" for i in self.insts)
         return f"func {self.name}({', '.join(map(repr, self.params))}):\n{body}"
@@ -153,21 +148,3 @@ class IRProgram:
             self.globals[symbol] = GlobalVar(symbol, len(data), 1, data)
         return symbol
 
-
-def basic_blocks(fn: IRFunc) -> list[list[int]]:
-    """Partition instruction indices into basic blocks."""
-    leaders = {0}
-    label_at = fn.labels()
-    for n, inst in enumerate(fn.insts):
-        if inst.op in ("jmp", "bz", "bnz", "ret"):
-            leaders.add(n + 1)
-        if inst.op in ("jmp", "bz", "bnz") and inst.symbol in label_at:
-            leaders.add(label_at[inst.symbol])
-        if inst.op == "label":
-            leaders.add(n)
-    ordered = sorted(x for x in leaders if x < len(fn.insts))
-    blocks: list[list[int]] = []
-    for i, start in enumerate(ordered):
-        end = ordered[i + 1] if i + 1 < len(ordered) else len(fn.insts)
-        blocks.append(list(range(start, end)))
-    return blocks

@@ -31,7 +31,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable
 
-from ..ir import Inst, IRFunc, Vreg, basic_blocks
+from ..cfg import basic_blocks
+from ..ir import Inst, IRFunc, Vreg
 
 
 def run(fn: IRFunc) -> bool:
@@ -46,7 +47,7 @@ def run(fn: IRFunc) -> bool:
     # calls find no candidate.  (Import here to avoid a cycle.)
     from ..regalloc import build_intervals
     intervals = cache(lambda: build_intervals(fn)[0])
-    for block in basic_blocks(fn):
+    for block in basic_blocks(fn.insts):
         # Per-block maps: vreg -> defining inst index (latest), def counts.
         def_at: dict[Vreg, int] = {}
         def_count: dict[Vreg, int] = {}

@@ -14,7 +14,8 @@ overhead would look artificially small.
 
 from __future__ import annotations
 
-from ..ir import Inst, IRFunc, Vreg
+from ..cfg import loop_regions
+from ..ir import IRFunc, Vreg
 
 _HOISTABLE = frozenset(("const", "la", "frame"))
 
@@ -27,14 +28,7 @@ def run(fn: IRFunc) -> bool:
 
 
 def _hoist_once(fn: IRFunc) -> bool:
-    label_at = {inst.symbol: i for i, inst in enumerate(fn.insts) if inst.op == "label"}
-    # Find loop regions: label index -> furthest backward-branch index.
-    regions: dict[int, int] = {}
-    for j, inst in enumerate(fn.insts):
-        if inst.op in ("jmp", "bz", "bnz"):
-            i = label_at.get(inst.symbol, -1)
-            if 0 <= i < j:
-                regions[i] = max(regions.get(i, j), j)
+    regions = loop_regions(fn.insts)
     if not regions:
         return False
 
@@ -43,8 +37,7 @@ def _hoist_once(fn: IRFunc) -> bool:
         if inst.dst is not None:
             def_counts[inst.dst] = def_counts.get(inst.dst, 0) + 1
 
-    for start in sorted(regions):
-        end = regions[start]
+    for start, end in regions:
         for k in range(start + 1, end + 1):
             inst = fn.insts[k]
             if (inst.op in _HOISTABLE and inst.dst is not None

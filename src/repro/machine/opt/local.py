@@ -11,7 +11,8 @@ subsequently recomputing it" — the paper's condition (2).
 from __future__ import annotations
 
 from ..codegen import _BIN_TO_M
-from ..ir import COMMUTATIVE, Inst, IRFunc, Vreg, basic_blocks
+from ..cfg import basic_blocks
+from ..ir import COMMUTATIVE, Inst, IRFunc, Vreg
 from ..vm import ALU_FUNCS, UNARY_FUNCS, VMError
 
 _MASK = 0xFFFFFFFF
@@ -67,7 +68,7 @@ class _BlockState:
 def run(fn: IRFunc) -> bool:
     """Apply local optimizations in place; return True if changed."""
     changed = False
-    for block in basic_blocks(fn):
+    for block in basic_blocks(fn.insts):
         state = _BlockState()
         for idx in block:
             inst = fn.insts[idx]

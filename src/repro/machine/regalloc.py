@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Inst, IRFunc, Vreg, basic_blocks
+from .cfg import basic_blocks, live_sets, successors
+from .ir import Inst, IRFunc, Vreg
 from .models import MachineModel
 
 
@@ -54,30 +55,7 @@ class Allocation:
 
 
 def _liveness(fn: IRFunc) -> tuple[list[list[int]], list[set[Vreg]], list[set[Vreg]]]:
-    blocks = basic_blocks(fn)
-    label_block = {}
-    for b, idxs in enumerate(blocks):
-        first = fn.insts[idxs[0]]
-        if first.op == "label":
-            label_block[first.symbol] = b
-    succs: list[list[int]] = []
-    for b, idxs in enumerate(blocks):
-        out: list[int] = []
-        last = fn.insts[idxs[-1]]
-        if last.op == "jmp":
-            if last.symbol in label_block:
-                out.append(label_block[last.symbol])
-        elif last.op in ("bz", "bnz"):
-            if last.symbol in label_block:
-                out.append(label_block[last.symbol])
-            if b + 1 < len(blocks):
-                out.append(b + 1)
-        elif last.op == "ret":
-            pass
-        elif b + 1 < len(blocks):
-            out.append(b + 1)
-        succs.append(out)
-
+    blocks = basic_blocks(fn.insts)
     use: list[set[Vreg]] = []
     defs: list[set[Vreg]] = []
     for idxs in blocks:
@@ -93,19 +71,7 @@ def _liveness(fn: IRFunc) -> tuple[list[list[int]], list[set[Vreg]], list[set[Vr
         use.append(u)
         defs.append(d)
 
-    live_in: list[set[Vreg]] = [set() for _ in blocks]
-    live_out: list[set[Vreg]] = [set() for _ in blocks]
-    changed = True
-    while changed:
-        changed = False
-        for b in range(len(blocks) - 1, -1, -1):
-            out: set[Vreg] = set()
-            for s in succs[b]:
-                out |= live_in[s]
-            inn = use[b] | (out - defs[b])
-            if out != live_out[b] or inn != live_in[b]:
-                live_out[b], live_in[b] = out, inn
-                changed = True
+    live_in, live_out = live_sets(successors(fn.insts, blocks), use, defs)
     return blocks, live_in, live_out
 
 

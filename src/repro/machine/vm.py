@@ -243,6 +243,8 @@ def statement(shape: tuple[str, str, int, bool], a: str, b: str, d: str,
     lines = [f"{addr} = ({a} + {b}) & 4294967295",
              f"{off} = {addr} & 4095",
              f"{page} = _PG.get({addr} >> 12)",
+             # A byte at any offset lies inside its page.
+             f"if {page} is None:" if width == 1 else
              f"if {page} is None or {off} > {4096 - width}:"]
     if op == "ld":
         value = access(width, signed, page, off)

@@ -45,7 +45,7 @@ from .report import render_text, summarize
 from .sentinel import (DEFAULT_CONFIGS, DEFAULT_REPEATS, TRAJECTORY,
                        check_trajectory, render_verdict, run_sentinel)
 from .tracer import TraceFormatError, load_jsonl
-from ..cliutil import run_main, usage_error
+from ..cliutil import read_text, run_main, usage_error
 from ..machine.driver import CompileConfig, compile_source
 from ..machine.models import MODELS
 from ..machine.vm import run_program
@@ -97,12 +97,10 @@ def cmd_record(args: argparse.Namespace) -> int:
     if args.workload:
         source, stdin = _workload_source(args.workload)
     else:
-        with open(args.source) as fh:
-            source = fh.read()
+        source = read_text(args.source)
         stdin = ""
     if args.stdin:
-        with open(args.stdin) as fh:
-            stdin = fh.read()
+        stdin = read_text(args.stdin)
 
     tracer, profile, result, wall_s, metrics = _record_one(
         source, stdin, args.config, args.model, args.gc_interval,
@@ -147,7 +145,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        events = load_jsonl(args.trace)
+        events = load_jsonl(read_text(args.trace).splitlines())
     except TraceFormatError as exc:
         usage_error(f"{args.trace}: {exc}")
     summary = summarize(events, top=args.top)

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.asm import ALU_OPS, ARG_REGS, FP, MFunc, MInst, MProgram, RV, SCRATCH, SP
-from .liveness import Liveness, basic_blocks, _writes
+from ..machine.cfg import basic_blocks
+from .liveness import Liveness, _writes
 
 _SPECIAL_REGS = frozenset((SP, FP, RV) + ARG_REGS + SCRATCH)
 

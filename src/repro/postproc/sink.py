@@ -61,7 +61,7 @@ from ..machine.asm import (
     ALU_OPS, ARG_REGS, FP, MFunc, MInst, MProgram, RV, SCRATCH, SP, UNARY_OPS,
 )
 from ..gc.heap import round_size
-from .liveness import CALL_CLOBBERS, Liveness, basic_blocks
+from .liveness import CALL_CLOBBERS, Liveness
 
 # Allocation builtins eligible for sinking (single size argument,
 # result in rv).  calloc computes its size from two arguments and
@@ -285,32 +285,8 @@ def _escape_reason(fn: MFunc, live: Liveness, cand: _Candidate) -> str | None:
     if cand.cap_idx is None:
         return None  # dead result: nothing to track
     insts = fn.insts
-    blocks = basic_blocks(insts)
-    block_of = {}
-    label_block = {}
-    for b, idxs in enumerate(blocks):
-        for i in idxs:
-            block_of[i] = b
-        if idxs and insts[idxs[0]].op == "label":
-            label_block[insts[idxs[0]].symbol] = b
-
-    def succs(b: int) -> list[int]:
-        idxs = blocks[b]
-        last = insts[idxs[-1]] if idxs else None
-        out: list[int] = []
-        if last is not None and last.op == "jmp":
-            if last.symbol in label_block:
-                out.append(label_block[last.symbol])
-        elif last is not None and last.op in ("bz", "bnz"):
-            if last.symbol in label_block:
-                out.append(label_block[last.symbol])
-            if b + 1 < len(blocks):
-                out.append(b + 1)
-        elif last is not None and last.op == "ret":
-            pass
-        elif b + 1 < len(blocks):
-            out.append(b + 1)
-        return out
+    blocks, succs = live.blocks, live.succs
+    b0 = next(b for b, idxs in enumerate(blocks) if cand.cap_idx <= idxs[-1])
 
     in_state: list[set[str]] = [set() for _ in blocks]
 
@@ -320,17 +296,15 @@ def _escape_reason(fn: MFunc, live: Liveness, cand: _Candidate) -> str | None:
         return state
 
     try:
-        b0 = block_of[cand.cap_idx]
-        pos = blocks[b0].index(cand.cap_idx)
-        seed = run(blocks[b0], {cand.reg}, frm=pos + 1)
-        work = [(s, seed) for s in succs(b0)]
+        seed = run(blocks[b0], {cand.reg}, frm=cand.cap_idx - blocks[b0][0] + 1)
+        work = [(s, seed) for s in succs[b0]]
         while work:
             b, state = work.pop()
             if state <= in_state[b]:
                 continue
             in_state[b] |= state
             out = run(blocks[b], set(in_state[b]))
-            for s in succs(b):
+            for s in succs[b]:
                 work.append((s, out))
     except _Escapes as e:
         return e.reason

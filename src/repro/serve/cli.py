@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 
-from ..cliutil import add_report_flags
+from ..cliutil import add_report_flags, read_text
 from ..machine.models import MODELS
 from .daemon import ServeConfig, start_in_thread
 
@@ -92,8 +92,7 @@ def cmd_serve_call(args: argparse.Namespace) -> int:
     from .client import Client, ServeError
     params: dict = {}
     if args.file:
-        with open(args.file) as fh:
-            params["source"] = fh.read()
+        params["source"] = read_text(args.file)
     for item in args.param or ():
         key, _, value = item.partition("=")
         try:

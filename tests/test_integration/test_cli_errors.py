@@ -8,7 +8,7 @@ from repro.fuzz.cli import main as fuzz_main
 from repro.obs.cli import main as obs_main
 
 # Placeholders name files the test writes: {bad} does not parse, {ff}
-# holds a byte that is not UTF-8, {trunc} is a trace whose second line
+# holds a byte that is not UTF-8 (the error must name it), {trunc} is a trace whose second line
 # is cut off, {dir} is a directory and {missing} does not exist.
 CASES = {
     "obs-record-parse-error": (obs_main, ["record", "--source", "{bad}"]),
@@ -20,15 +20,21 @@ CASES = {
                                     ["record", "--workload", "nosuch"]),
     "obs-report-missing": (obs_main, ["report", "{missing}"]),
     "obs-report-truncated": (obs_main, ["report", "{trunc}"]),
+    "obs-report-undecodable": (obs_main, ["report", "{ff}"]),
     "obs-trajectory-unknown-workload": (obs_main, ["trajectory",
                                                    "--workload", "nosuch"]),
     "obs-sentinel-unknown-workload": (obs_main,
                                       ["sentinel", "--workload", "nosuch"]),
+    "obs-record-undecodable-source": (obs_main,
+                                      ["record", "--source", "{ff}"]),
     "fuzz-replay-missing": (fuzz_main, ["--replay", "{missing}"]),
+    "fuzz-replay-undecodable": (fuzz_main, ["--replay", "{ff}"]),
     "cc-directory": (repro_main, ["cc", "{dir}"]),
     "annotate-directory": (repro_main, ["annotate", "{dir}"]),
     "cc-undecodable": (repro_main, ["cc", "{ff}"]),
     "bench-unknown-workload": (repro_main, ["bench", "--workloads", "nosuch"]),
+    "serve-call-undecodable-file": (repro_main, ["serve", "call", "compile",
+                                                 "--file", "{ff}"]),
 }
 
 
@@ -55,6 +61,8 @@ def test_bad_input_is_an_error_not_a_traceback(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if "{ff}" in argv:  # a file that does not decode is named
+        assert err.startswith(f"error: {paths['ff']}: ")
 
 
 def test_a_malformed_trace_is_named_with_its_line(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Optimized code for the six workloads is pinned by the SHA-256 of its
 rendered assembly, per config and machine model: the optimizer (the
 ``addrfold`` reassociation above all), register allocation and frame
-layout must keep producing the same code."""
+layout must keep producing the same code.  The postprocessors' output
+is pinned too: O_safe code after the peephole pass and O code after
+allocation sinking, on ss10."""
 
 import hashlib
 
@@ -9,6 +11,7 @@ import pytest
 
 from repro.machine.driver import CompileConfig, compile_source, front_memo
 from repro.machine.models import MODELS
+from repro.postproc import postprocess, sink_program
 from repro.workloads import load_workload
 
 ASM_SHA256 = {
@@ -97,3 +100,46 @@ def test_workload_asm_is_pinned(workload, config):
                 source, CompileConfig.named(config, MODELS[model])).render_asm()
             assert (hashlib.sha256(asm.encode()).hexdigest()
                     == ASM_SHA256[workload, config, model]), model
+
+
+# (workload, postprocessor) -> SHA-256 of the rendered ss10 code after it:
+# ``postprocess`` runs on O_safe code, ``sink_program`` on O code.
+POSTPROC_SHA256 = {
+    ("cordtest", "postprocess"):
+        "672c8c5381ce2211a5f21037fa519a56f50cb110233b8d273b89e3e5747d87ea",
+    ("cordtest", "sink_program"):
+        "0c641b503ddde7095e42c5a3511173f072bcae829c64df3385e8518647f34dce",
+    ("cfrac", "postprocess"):
+        "4725938b50036dfeeda5557f76818d4925b697a89df5fcce70d652b6d855ee80",
+    ("cfrac", "sink_program"):
+        "15139febfece145eda7d5ce5d87258d625d97359849f37df429d116811b83483",
+    ("miniawk", "postprocess"):
+        "3c12dad24269da66cf5afdf95dcc5f910b9247c3be978058e44595cfe7a84fa9",
+    ("miniawk", "sink_program"):
+        "fc30d5c71155cada162c556b5153751a049cb5c50e9e418b7837145e136b6ded",
+    ("minips", "postprocess"):
+        "d20fc7675216aff064505e4aedafd2cbaf59b1893e70d9efa5f989b5ec1e539a",
+    ("minips", "sink_program"):
+        "1ed2d9cec224c8c08ab537ebc2f0f7bdc6399c4dabdb4393f9f742a5978f54ff",
+    ("gcbench", "postprocess"):
+        "4ecf6fe91689529d4397b63b2c45d2886de987a4fb87106ee24dcfd140cc1c7b",
+    ("gcbench", "sink_program"):
+        "ce34e33bb627dc36b51f06142c89eeaeecef2164aed938ae1ac18a413692405e",
+    ("scratch", "postprocess"):
+        "754622e8b5df9ab3f1d4845470b7b57030d3ab2f60c84b1de0ac882a0987b442",
+    ("scratch", "sink_program"):
+        "d6086670493886d22290f398126721e8d1d92d765c69d2309f76f490b0abe60a",
+}
+POSTPROCESSORS = {"postprocess": ("O_safe", postprocess),
+                  "sink_program": ("O", sink_program)}
+
+
+@pytest.mark.parametrize("postprocessor", sorted(POSTPROCESSORS))
+@pytest.mark.parametrize("workload", sorted({w for w, _ in POSTPROC_SHA256}))
+def test_postprocessed_asm_is_pinned(workload, postprocessor):
+    config, run = POSTPROCESSORS[postprocessor]
+    asm = compile_source(load_workload(workload),
+                         CompileConfig.named(config, MODELS["ss10"])).asm
+    run(asm)
+    assert (hashlib.sha256(asm.render().encode()).hexdigest()
+            == POSTPROC_SHA256[workload, postprocessor])

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.machine.ir import (
-    FrameSlot, GlobalVar, Inst, IRFunc, IRProgram, Vreg, basic_blocks,
-)
+from repro.machine.cfg import basic_blocks
+from repro.machine.ir import FrameSlot, GlobalVar, Inst, IRFunc, IRProgram, Vreg
 
 
 class TestIRFunc:
@@ -18,13 +17,6 @@ class TestIRFunc:
         labels = [fn.new_label() for _ in range(10)]
         assert len(set(labels)) == 10
         assert all("myfunc" in l for l in labels)
-
-    def test_labels_map(self):
-        fn = IRFunc("f")
-        fn.emit(Inst("const", dst=fn.new_vreg(), imm=1))
-        fn.emit(Inst("label", symbol="L1"))
-        fn.emit(Inst("label", symbol="L2"))
-        assert fn.labels() == {"L1": 1, "L2": 2}
 
     def test_frame_layout_no_overlap(self):
         fn = IRFunc("f")
@@ -71,7 +63,7 @@ class TestBasicBlocks:
 
     def test_straight_line(self):
         fn = self._fn([("const", ""), ("const", ""), ("ret", "")])
-        assert len(basic_blocks(fn)) == 1
+        assert len(basic_blocks(fn.insts)) == 1
 
     def test_branch_creates_blocks(self):
         fn = self._fn([
@@ -81,7 +73,7 @@ class TestBasicBlocks:
             ("label", "L"),
             ("ret", ""),
         ])
-        blocks = basic_blocks(fn)
+        blocks = basic_blocks(fn.insts)
         assert [b[0] for b in blocks] == [0, 2, 3]
 
     def test_back_edge(self):
@@ -91,7 +83,7 @@ class TestBasicBlocks:
             ("bnz", "top"),
             ("ret", ""),
         ])
-        blocks = basic_blocks(fn)
+        blocks = basic_blocks(fn.insts)
         assert len(blocks) == 2
 
     def test_every_instruction_in_exactly_one_block(self):
@@ -99,7 +91,7 @@ class TestBasicBlocks:
             ("const", ""), ("bz", "A"), ("const", ""), ("jmp", "B"),
             ("label", "A"), ("const", ""), ("label", "B"), ("ret", ""),
         ])
-        blocks = basic_blocks(fn)
+        blocks = basic_blocks(fn.insts)
         flat = [i for b in blocks for i in b]
         assert sorted(flat) == list(range(len(fn.insts)))
         assert len(set(flat)) == len(flat)

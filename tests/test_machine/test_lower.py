@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cfront import parse, typecheck
-from repro.machine.ir import IRFunc, basic_blocks
+from repro.machine.cfg import basic_blocks
+from repro.machine.ir import IRFunc
 from repro.cfront.errors import CFrontError
 from repro.machine.lower import LowerError, Lowerer, lower_unit
 
@@ -71,7 +72,7 @@ class TestFrameLayout:
 class TestControlFlowShape:
     def test_while_has_loop_structure(self):
         fn = fn_of("int f(int n) { while (n) n--; return n; }", "f")
-        blocks = basic_blocks(fn)
+        blocks = basic_blocks(fn.insts)
         assert len(blocks) >= 3
         labels = [i.symbol for i in fn.insts if i.op == "label"]
         targets = [i.symbol for i in fn.insts if i.op in ("jmp", "bz", "bnz")]

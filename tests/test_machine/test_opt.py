@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfront import parse, typecheck
-from repro.machine.ir import Inst, IRFunc, Vreg, basic_blocks
+from repro.machine.ir import Inst, IRFunc, Vreg
 from repro.machine.lower import lower_unit
 from repro.machine.opt import addrfold, deadcode, licm, local, optimize, strength
 from repro.machine.opt.local import eval_bin, eval_un

@@ -14,7 +14,7 @@ from repro.machine.asm import ALU_OPS, MFunc, MInst, MProgram, UNARY_OPS
 from repro.machine.codegen import _BIN_TO_M
 from repro.machine.ir import GlobalVar
 from repro.machine.opt.local import eval_bin, eval_un
-from repro.machine.vm import VM, VMError
+from repro.machine.vm import VM, VMError, _slice_access, statement
 
 MASK = 0xFFFFFFFF
 OPERANDS = (0, 1, 31, 32, 33, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
@@ -210,3 +210,13 @@ def test_loads_and_stores_agree_across_tiers(op, width, signed, form, where,
     assert plain.regs == fused.regs
     assert (plain.instructions, plain.cycles) == (fused.instructions,
                                                   fused.cycles)
+
+
+@pytest.mark.parametrize("op", ["ld", "st"])
+def test_only_wider_accesses_test_for_a_page_cross(op):
+    """A byte at any offset lies inside its page: the width-1 statement
+    tests only for an unmapped page."""
+    for width in (1, 2, 4):
+        lines = statement((op, "ri", width, False), "a", "b", "d", "",
+                          _slice_access)
+        assert any("_o >" in line for line in lines) == (width > 1), width

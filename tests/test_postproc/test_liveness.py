@@ -3,7 +3,8 @@
 import pytest
 
 from repro.machine.asm import MFunc, MInst
-from repro.postproc.liveness import Liveness, basic_blocks
+from repro.machine.cfg import basic_blocks
+from repro.postproc.liveness import Liveness
 
 
 def mk(insts):
