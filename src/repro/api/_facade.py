@@ -81,7 +81,7 @@ class Options:
     poison: bool = False                   # run(): poison reclaimed objects
     max_instructions: int = 500_000_000    # run(): VM fuel
     annotate: AnnotateOptions | None = None  # fine-grained annotator knobs
-    sink: bool = False                     # allocation-sinking postproc pass
+    sink: bool = False                     # allocation-sinking compile stage
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode.coerce(self.mode))
@@ -150,6 +150,7 @@ class Toolchain:
                                  MODELS[self.options.model])
         cc.run_cpp = self.options.run_cpp or cc.run_cpp
         cc.include_dirs = list(self.options.include_dirs)
+        cc.sink = self.options.sink
         if self.options.annotate is not None:
             cc.annotate_options = self.options.annotate
         return cc
@@ -162,15 +163,9 @@ class Toolchain:
 
     def execute(self, compiled: CompiledProgram,
                 stdin: str = "") -> RunResult:
-        """Run an already-compiled program on this options' VM setup.
-        A program that faults or fails a pointer check comes back as the
-        result's ``status`` and ``detail``.
-
-        With ``options.sink`` the allocation-sinking pass rewrites the
-        program in place first."""
-        if self.options.sink:
-            from ..postproc.sink import sink_program
-            sink_program(compiled.asm)
+        """Run an already-compiled program on this options' VM setup,
+        as it was compiled.  A program that faults or fails a pointer
+        check comes back as the result's ``status`` and ``detail``."""
         return run_program(compiled.asm, MODELS[self.options.model],
                            stdin=stdin, gc_interval=self.options.gc_interval,
                            poison=self.options.poison,

@@ -10,7 +10,7 @@ variant (T5) reuse the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..exec import cache as exec_cache
 from ..exec.engine import run_sharded
@@ -19,9 +19,8 @@ from ..machine.models import MODELS, MachineModel
 from ..machine.vm import VMError, run_program
 from ..obs import runtime as obs_runtime
 from ..obs.report import summarize
-from ..postproc import postprocess
 from ..postproc.peephole import PeepholeStats
-from ..postproc.sink import SinkStats, sink_program
+from ..postproc.sink import SinkStats
 from ..workloads import AUX_WORKLOADS, WORKLOADS, load_workload
 
 CONFIG_ORDER = ("O", "O_safe", "g", "g_checked")
@@ -44,9 +43,7 @@ class CellResult:
     # session tracer was enabled; None otherwise (telemetry is opt-in
     # and never perturbs the measured cycle counts).
     telemetry: dict | None = None
-    # Allocation-sinking rewrite stats (None = pass not applied).  The
-    # pass is opt-in and changes counts, so it salts the result-cache
-    # key whenever set.
+    # Allocation-sinking rewrite stats (None = pass not applied).
     sink_stats: SinkStats | None = None
 
 
@@ -80,7 +77,7 @@ class Harness:
         self.model_key = model_key
         self.model: MachineModel = MODELS[model_key]
         # Applied to every cell this harness runs: the allocation-
-        # sinking postproc pass (count-changing, like `postprocessed`).
+        # sinking compile stage (count-changing, like `postprocessed`).
         self.sink = sink
         self._cache: dict[tuple, CellResult] = {}
 
@@ -91,14 +88,13 @@ class Harness:
             return self._cache[key]
         spec = WORKLOADS.get(workload) or AUX_WORKLOADS[workload]
         source = load_workload(workload)
-        config = CompileConfig.named(config_name, self.model)
+        config = replace(CompileConfig.named(config_name, self.model),
+                         peephole=postprocessed, sink=self.sink)
         # Content-addressed cell memoization: the VM is deterministic,
         # so an executed cell is a pure function of (source, config,
-        # stdin, postprocessed, sink) and can be replayed from disk
-        # bit-identically.
+        # stdin) and can be replayed from disk bit-identically.
         rcache = exec_cache.active_cache("result")
-        rkey = (rcache.key_for(source, config, stdin=spec.stdin,
-                               postprocessed=postprocessed, sink=self.sink)
+        rkey = (rcache.key_for(source, config, stdin=spec.stdin)
                 if rcache is not None else None)
         if rkey is not None:
             hit = rcache.get(rkey)
@@ -110,8 +106,6 @@ class Harness:
         with tracer.span("bench.cell", workload=workload, config=config_name,
                          model=self.model_key, postprocessed=postprocessed):
             compiled = compile_source(source, config)
-            stats = postprocess(compiled.asm) if postprocessed else None
-            sink_stats = sink_program(compiled.asm) if self.sink else None
             run = run_program(compiled.asm, self.model, stdin=spec.stdin)
         if run.status != "ok":
             raise VMError(run.describe())
@@ -122,8 +116,9 @@ class Harness:
             cycles=run.cycles, instructions=run.instructions,
             code_size=compiled.asm.code_size(), exit_code=run.exit_code,
             collections=run.collections, output=run.output,
-            postprocessed=postprocessed, peephole_stats=stats,
-            telemetry=telemetry, sink_stats=sink_stats)
+            postprocessed=postprocessed,
+            peephole_stats=compiled.peephole_stats,
+            telemetry=telemetry, sink_stats=compiled.sink_stats)
         self._cache[key] = cell
         if rkey is not None:
             rcache.put(rkey, cell)

@@ -65,10 +65,10 @@ from .api.build import (
 from .core.annotate import AnnotateOptions
 from .exec import cache as exec_cache
 from .exec.cli import add_cache_parser, resolve_cache_dir
+from .machine.driver import compile_source
 from .machine.models import MODELS
 from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
                       obs_session, read_text, run_main, usage_error)
-from .postproc import postprocess
 from .resil.cli import add_chaos_parser
 from .serve.cli import add_serve_parser
 
@@ -116,17 +116,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_cc(args: argparse.Namespace) -> int:
     source = _read(args.file)
     tc = Toolchain(config=args.config, model=args.model,
-                   gc_interval=args.gc_interval, poison=args.poison)
-    compiled = tc.compile(source)
+                   gc_interval=args.gc_interval, poison=args.poison,
+                   sink=args.sink)
+    config = tc.compile_config()
+    config.peephole = args.postproc
+    compiled = compile_source(source, config)
     if args.postproc:
-        stats = postprocess(compiled.asm)
-        print(f"! postprocessor: {stats}", file=sys.stderr)
+        print(f"! postprocessor: {compiled.peephole_stats}", file=sys.stderr)
     if args.sink:
-        # Applied here (not via Options.sink) so the stats reach stderr
-        # and --dump-asm shows the rewritten code.
-        from .postproc import sink_program
-        sstats = sink_program(compiled.asm)
-        print(f"! sink: {sstats}", file=sys.stderr)
+        print(f"! sink: {compiled.sink_stats}", file=sys.stderr)
     if args.dump_asm:
         print(compiled.asm.render())
         return 0

@@ -3,8 +3,8 @@
 Two tiers, one mechanism:
 
 * :class:`CompileCache` (kind ``"compile"``) memoizes the full
-  cfront → annotate → lower → opt → codegen pipeline at the linked
-  :class:`~repro.machine.driver.CompiledProgram` boundary.
+  cfront → annotate → lower → opt → codegen → postproc pipeline at the
+  linked :class:`~repro.machine.driver.CompiledProgram` boundary.
 * :class:`ResultCache` (kind ``"result"``) memoizes one *executed*
   benchmark cell (a :class:`~repro.bench.harness.CellResult`) — sound
   because the VM is a deterministic simulator: cycles, GC counts, and
@@ -17,13 +17,14 @@ Key anatomy — the SHA-256 of a canonical JSON object::
      "extra":   [..salt_context tags], # e.g. test-only broken passes
      "source":  <full source text>,
      "config":  {optimize, safe, checked, model, passes,
-                 naive_keep_live, run_cpp, annotate:{...}}}
+                 naive_keep_live, run_cpp, peephole, sink,
+                 annotate:{...}}}
 
-and for result-cache keys additionally the run parameters
-``{compile_key, stdin, gc_interval, poison, postprocessed,
-max_instructions}`` plus, when active, ``sink`` (allocation sinking).
-Any component changing — one config flag, one optimizer pass, the
-salt — produces a different address, so "invalidation" is structural:
+and for result-cache keys additionally the run parameters ``{stdin,
+gc_interval, poison, max_instructions}``.  The postprocessing stages
+are config fields, so both tiers key them the same way.  Any component
+changing — one config flag, one optimizer pass, the salt — produces a
+different address, so "invalidation" is structural:
 stale entries are simply never addressed again.  Sources that pull in
 out-of-band bytes (``#include``) are not cacheable, since the key could
 not see the included text change.
@@ -70,7 +71,8 @@ from ..resil import inject as resil_inject
 # Bump whenever any pipeline stage may produce different output for the
 # same (source, config): it salts every key, orphaning old entries.
 # /2: allocation sinking changed what a "cell" can contain, and cells
-# gained a sink field.
+# gained a sink field.  /4: postprocessing became a compile stage, so a
+# CompiledProgram carries its stages' stats.
 CODE_VERSION = envelopes.EXEC_CACHE
 
 _MAGIC = b"RPROCC01"
@@ -133,6 +135,8 @@ def config_fingerprint(config) -> dict[str, Any] | None:
         "passes": list(config.passes),
         "naive_keep_live": config.naive_keep_live,
         "run_cpp": config.run_cpp,
+        "peephole": config.peephole,
+        "sink": config.sink,
         "annotate": None if ann is None else {
             name: getattr(ann, name)
             for name in sorted(ann.__dataclass_fields__)},
@@ -142,12 +146,14 @@ def config_fingerprint(config) -> dict[str, Any] | None:
 def front_key(source: str, config) -> str | None:
     """The in-memory address of a compilation's model-independent front
     half (see ``machine.driver.front_memo``): the source, every key
-    field of the config but ``model``, and the salt_context() tags.
-    None when the configuration is not cacheable."""
+    field of the config but the back half's (``model``, ``peephole``,
+    ``sink``), and the salt_context() tags.  None when the
+    configuration is not cacheable."""
     fp = config_fingerprint(config)
     if fp is None:
         return None
-    del fp["model"]
+    for back in ("model", "peephole", "sink"):
+        del fp[back]
     return _canonical_key({"extra": list(_extra_salt), "source": source,
                            "config": fp})
 
@@ -395,22 +401,14 @@ class ResultCache(_DiskCache):
 
     def key_for(self, source: str, config, *, stdin: str = "",
                 gc_interval: int = 0, poison: bool = False,
-                postprocessed: bool = False,
-                max_instructions: int = 500_000_000,
-                sink: bool = False) -> str | None:
+                max_instructions: int = 500_000_000) -> str | None:
         fp = config_fingerprint(config)
         if fp is None or "#include" in source:
             return None
-        body = {
+        return self._key({
             "source": source, "config": fp, "stdin": stdin,
             "gc_interval": gc_interval, "poison": poison,
-            "postprocessed": postprocessed,
-            "max_instructions": max_instructions}
-        # Sinking salts the key only when active, so every key minted
-        # before the knob existed still addresses the same entry.
-        if sink:
-            body["sink"] = True
-        return self._key(body)
+            "max_instructions": max_instructions})
 
 
 # -- process-wide active caches -------------------------------------------

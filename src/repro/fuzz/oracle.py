@@ -29,7 +29,7 @@ roots for the collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..cfront.errors import CFrontError
 from ..exec.engine import run_sharded
@@ -102,19 +102,16 @@ def compile_and_run(source: str, config_name: str, model_name: str = "ss10",
                     max_instructions: int = 5_000_000,
                     sink: bool = False) -> RunResult:
     """Compile + execute one cell; a compile error is a result too, so
-    cells are always comparable.  ``sink`` applies the allocation-
-    sinking pass to the compiled program first (safe to mutate: the
-    compile cache hands out fresh copies)."""
-    model = MODELS[model_name]
+    cells are always comparable.  ``sink`` compiles with the allocation-
+    sinking stage."""
+    config = replace(CompileConfig.named(config_name, MODELS[model_name]),
+                     sink=sink)
     try:
-        compiled = compile_source(source, CompileConfig.named(config_name, model))
+        compiled = compile_source(source, config)
     except CFrontError as exc:
         return RunResult(None, 0, 0, "", 0, 0, status="compile-error",
                          detail=str(exc))
-    if sink:
-        from ..postproc.sink import sink_program
-        sink_program(compiled.asm)
-    return run_program(compiled.asm, model, gc_interval=gc_interval,
+    return run_program(compiled.asm, config.model, gc_interval=gc_interval,
                        poison=poison, max_instructions=max_instructions)
 
 

@@ -23,9 +23,12 @@ Run a compiled program with :func:`repro.machine.vm.run_program`.
 
 A compilation has two halves.  The *front half* (cpp, parse, typecheck,
 annotate, lower, optimize) does not depend on the machine model; the
-*back half* (register allocation and code generation) does, and reads
-the optimized IR without changing it.  Inside :func:`front_memo`,
-``compile_source`` computes each front half once and runs only the back
+*back half* (register allocation, code generation, then the peephole
+and sinking stages the config names) does, and reads the optimized IR
+without changing it.  Those stages run here only, so the compile cache
+covers them and callers only read compiled programs.  Inside
+:func:`front_memo`, ``compile_source`` computes each front half once
+and runs only the back
 half for the other calls with the same source and model-free config.
 """
 
@@ -41,6 +44,8 @@ from ..cfront.typecheck import typecheck
 from ..exec import cache as exec_cache
 from ..obs import runtime as obs_runtime
 from ..core.annotate import AnnotateOptions, Annotator
+from ..postproc.peephole import PeepholeStats, postprocess
+from ..postproc.sink import SinkStats, sink_program
 from ..resil import inject as resil_inject
 from .asm import MProgram
 from .codegen import generate_program
@@ -71,6 +76,10 @@ class CompileConfig:
     naive_keep_live: bool = False
     run_cpp: bool = True
     include_dirs: list[str] = field(default_factory=list)
+    # The back half's last stages, peephole first (T5's "-O safe +
+    # postprocessor"), then allocation sinking; both change counts.
+    peephole: bool = False
+    sink: bool = False
 
     @staticmethod
     def named(name: str, model: MachineModel = SPARC_10) -> "CompileConfig":
@@ -93,6 +102,8 @@ class CompiledProgram:
     ir: IRProgram
     config: CompileConfig
     keep_lives: int = 0
+    peephole_stats: PeepholeStats | None = None  # None: stage not run
+    sink_stats: SinkStats | None = None
 
     @property
     def code_size(self) -> int:
@@ -153,9 +164,9 @@ def front_memo():
     """Compute each front half once for the ``compile_source`` calls
     made inside the block; the memo is dropped when the block exits.
 
-    Every call still runs its own back half, so each caller gets a
-    fresh :class:`MProgram` it may rewrite in place.  The key covers the
-    source, every config field but ``model``, and the active
+    Every call still runs its own back half, postprocessing stages
+    included.  The key covers the source, every config field but
+    ``model``, ``peephole`` and ``sink``, and the active
     :func:`repro.exec.cache.salt_context` tags, so a pass swapped in
     under a salt is never served code compiled without it.
     """
@@ -175,11 +186,21 @@ def _compile(source: str, config: CompileConfig) -> CompiledProgram:
         if key is not None:
             memo[key] = front
     ir, keep_lives = front
-    with obs_runtime.get_tracer().span("compile.codegen",
-                                       model=config.model.name) as sp:
+    tracer = obs_runtime.get_tracer()
+    with tracer.span("compile.codegen", model=config.model.name) as sp:
         asm = generate_program(ir, config.model)
         sp.set(code_size=asm.code_size())
-    return CompiledProgram(asm, ir, config, keep_lives)
+    compiled = CompiledProgram(asm, ir, config, keep_lives)
+    if config.peephole:
+        with tracer.span("postproc.peephole") as sp:
+            compiled.peephole_stats = postprocess(asm)
+            sp.set(rewrites=compiled.peephole_stats.total)
+    if config.sink:
+        with tracer.span("postproc.sink") as sp:
+            compiled.sink_stats = sink_program(asm)
+            sp.set(sunk=compiled.sink_stats.sunk,
+                   eliminated=compiled.sink_stats.eliminated)
+    return compiled
 
 
 def _front_half(source: str, config: CompileConfig) -> tuple[IRProgram, int]:

@@ -28,6 +28,7 @@ SUMMARY_SCHEMA = envelopes.OBS_SUMMARY
 COMPILE_PHASES = (
     "cfront.cpp", "cfront.lex", "cfront.parse", "cfront.typecheck",
     "compile.annotate", "compile.lower", "compile.opt", "compile.codegen",
+    "postproc.peephole", "postproc.sink",
 )
 
 # Histogram metrics surfaced in the percentile section, in render order.

@@ -29,31 +29,54 @@ def _writes(inst: MInst) -> list[str]:
 
 class Liveness:
     """Per-instruction live-after register sets for one function, plus
-    the blocks and successors they were solved over."""
+    the blocks and successors they were solved over.  After a rewrite
+    that keeps every index (what it removes becomes a ``nop``),
+    :meth:`refresh` of the rewritten block brings the sets up to date."""
 
     def __init__(self, fn: MFunc):
         self.fn = fn
-        insts = fn.insts
-        self.blocks = basic_blocks(insts)
-        self.succs = successors(insts, self.blocks)
-        reads = [set(inst.registers_read()) for inst in insts]
-        writes = [set(_writes(inst)) for inst in insts]
+        self.blocks = basic_blocks(fn.insts)
+        self.succs = successors(fn.insts, self.blocks)
+        self.live_after: list[set[str]] = [set() for _ in fn.insts]
+        self._solve()
+
+    def _solve(self) -> None:
+        insts = self.fn.insts
+        self._reads = [set(inst.registers_read()) for inst in insts]
+        self._writes = [set(_writes(inst)) for inst in insts]
         use: list[set[str]] = []
         defs: list[set[str]] = []
         for idxs in self.blocks:
             u: set[str] = set()
             d: set[str] = set()
             for i in idxs:
-                u |= reads[i] - d
-                d |= writes[i]
+                u |= self._reads[i] - d
+                d |= self._writes[i]
             use.append(u)
             defs.append(d)
-        _, live_out = live_sets(self.succs, use, defs)
-        self.live_after: list[set[str]] = [set() for _ in insts]
-        for idxs, live in zip(self.blocks, live_out):
-            for i in reversed(idxs):
-                self.live_after[i] = live
-                live = (live - writes[i]) | reads[i]
+        self.live_in, self.live_out = live_sets(self.succs, use, defs)
+        for b in range(len(self.blocks)):
+            self._walk(b)
+
+    def _walk(self, b: int) -> set[str]:
+        """Fill block ``b``'s live-after sets backward from its live-out
+        set; return the set live on entry."""
+        live = self.live_out[b]
+        for i in reversed(self.blocks[b]):
+            self.live_after[i] = live
+            live = (live - self._writes[i]) | self._reads[i]
+        return live
+
+    def refresh(self, b: int) -> None:
+        """Re-walk block ``b`` after a rewrite inside it.  A rewrite that
+        changes what the block needs on entry (deleting a register's
+        last read, say) re-solves the whole function."""
+        insts = self.fn.insts
+        for i in self.blocks[b]:
+            self._reads[i] = set(insts[i].registers_read())
+            self._writes[i] = set(_writes(insts[i]))
+        if self._walk(b) != self.live_in[b]:
+            self._solve()
 
     def dead_after(self, idx: int, reg: str) -> bool:
         return reg not in self.live_after[idx]

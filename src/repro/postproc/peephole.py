@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.asm import ALU_OPS, ARG_REGS, FP, MFunc, MInst, MProgram, RV, SCRATCH, SP
-from ..machine.cfg import basic_blocks
 from .liveness import Liveness, _writes
 
 _SPECIAL_REGS = frozenset((SP, FP, RV) + ARG_REGS + SCRATCH)
@@ -49,13 +48,18 @@ def _keepsafe_bases(fn: MFunc) -> set[str]:
 
 
 def postprocess_function(fn: MFunc, max_rounds: int = 4) -> PeepholeStats:
+    """Rewrite one function in place.  Its liveness is solved once: a
+    pattern replaces what it removes with a ``nop``, so no index moves,
+    and refreshes the rewritten block; the nops go at the end."""
     stats = PeepholeStats()
+    live = Liveness(fn)
     for _ in range(max_rounds):
-        changed = (_pattern_fold_load(fn, stats)
-                   | _pattern_eliminate_move(fn, stats)
-                   | _pattern_retarget_add(fn, stats))
+        changed = (_pattern_fold_load(fn, live, stats)
+                   | _pattern_eliminate_move(fn, live, stats)
+                   | _pattern_retarget_add(fn, live, stats))
         if not changed:
             break
+    fn.insts = [i for i in fn.insts if i.op != "nop"]
     return stats
 
 
@@ -73,17 +77,17 @@ def postprocess(prog: MProgram) -> PeepholeStats:
 # -- pattern 1: add + load/store fusion --------------------------------------
 
 
-def _pattern_fold_load(fn: MFunc, stats: PeepholeStats) -> bool:
-    live = Liveness(fn)
+def _pattern_fold_load(fn: MFunc, live: Liveness,
+                       stats: PeepholeStats) -> bool:
     changed = False
-    for block in basic_blocks(fn.insts):
+    for b, block in enumerate(live.blocks):
         for pos, idx in enumerate(block):
             inst = fn.insts[idx]
             if not _is_plain_addr_use(inst):
                 continue
             z = inst.rs1
-            if z is None:
-                continue
+            if z is None or (inst.op == "st" and inst.rd == z):
+                continue  # a store of z itself needs the sum in z
             # The KEEP_LIVE base constraint is span-local (checked in
             # _span_clear): a marker naming z as base *between* the add
             # and this use blocks the fold; the same register holding an
@@ -116,8 +120,7 @@ def _pattern_fold_load(fn: MFunc, stats: PeepholeStats) -> bool:
             _retarget_markers(fn, add_idx, idx, z, x)
             stats.loads_folded += 1
             changed = True
-            live = Liveness(fn)
-    _drop_nops(fn)
+            live.refresh(b)
     return changed
 
 
@@ -172,11 +175,11 @@ def _retarget_markers(fn: MFunc, start: int, end: int, old: str, new: str | None
 # -- pattern 2: move elimination ---------------------------------------------
 
 
-def _pattern_eliminate_move(fn: MFunc, stats: PeepholeStats) -> bool:
-    live = Liveness(fn)
+def _pattern_eliminate_move(fn: MFunc, live: Liveness,
+                            stats: PeepholeStats) -> bool:
     protected = _keepsafe_bases(fn)
     changed = False
-    for block in basic_blocks(fn.insts):
+    for b, block in enumerate(live.blocks):
         for pos, idx in enumerate(block):
             inst = fn.insts[idx]
             if inst.op != "mov" or inst.rd is None or inst.rs1 is None:
@@ -185,6 +188,7 @@ def _pattern_eliminate_move(fn: MFunc, stats: PeepholeStats) -> bool:
             if x == z:
                 fn.insts[idx] = MInst("nop")
                 changed = True
+                live.refresh(b)
                 continue
             if z in protected:
                 continue
@@ -228,8 +232,7 @@ def _pattern_eliminate_move(fn: MFunc, stats: PeepholeStats) -> bool:
             fn.insts[idx] = MInst("nop")
             stats.moves_eliminated += 1
             changed = True
-            live = Liveness(fn)
-    _drop_nops(fn)
+            live.refresh(b)
     return changed
 
 
@@ -245,10 +248,10 @@ def _replace_reads(inst: MInst, old: str, new: str) -> None:
 # -- pattern 3: add/mov combining ----------------------------------------------
 
 
-def _pattern_retarget_add(fn: MFunc, stats: PeepholeStats) -> bool:
-    live = Liveness(fn)
+def _pattern_retarget_add(fn: MFunc, live: Liveness,
+                          stats: PeepholeStats) -> bool:
     changed = False
-    for block in basic_blocks(fn.insts):
+    for b, block in enumerate(live.blocks):
         for pos, idx in enumerate(block):
             inst = fn.insts[idx]
             if inst.op != "mov" or inst.rs1 is None or inst.rd is None:
@@ -281,10 +284,5 @@ def _pattern_retarget_add(fn: MFunc, stats: PeepholeStats) -> bool:
             _retarget_markers(fn, add_idx, idx + 1, z, w)
             stats.adds_retargeted += 1
             changed = True
-            live = Liveness(fn)
-    _drop_nops(fn)
+            live.refresh(b)
     return changed
-
-
-def _drop_nops(fn: MFunc) -> None:
-    fn.insts = [i for i in fn.insts if i.op != "nop"]

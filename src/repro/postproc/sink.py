@@ -9,11 +9,12 @@ leaves the allocating frame needs none of that: the object can live in
 the frame itself, and the collector never sees it.
 
 This is a *postprocessor* pass in the same sense as ``peephole``: it
-runs on generated machine code (:class:`~repro.machine.asm.MFunc`) and
-is opt-in — unlike the peephole pass it deliberately changes observable
-counts (fewer instructions, fewer cycles, fewer collections), so it is
-never applied inside the default bench matrix, only behind explicit
-``sink`` flags.
+runs on generated machine code (:class:`~repro.machine.asm.MFunc`), as
+the compile stage ``CompileConfig.sink`` names, and is opt-in — unlike
+the peephole pass it deliberately changes observable counts (no
+allocator call, fewer cycles, fewer collections), so it is never
+applied inside the default bench matrix, only behind explicit ``sink``
+flags.
 
 A candidate is ``call GC_malloc/malloc/GC_malloc_atomic`` with a
 constant size whose result is captured by a single ``mov z, rv``.  The
@@ -212,10 +213,6 @@ def _transfer(inst: MInst, pointers: set[str], live: Liveness,
     """Advance the may-hold-the-pointer register set across one
     instruction; raise :class:`_Escapes` on any disqualifying use."""
     op = inst.op
-    if not pointers:
-        # Nothing to track; only calls matter (they cannot re-create
-        # membership) — fall through so writes keep sets empty.
-        pass
     if op == "keepsafe":
         if inst.rs1 in pointers or inst.rs2 in pointers:
             raise _Escapes("keepsafe")

@@ -46,6 +46,11 @@ class TestHarness:
         assert plain is not pp
         assert pp.peephole_stats is not None
 
+    def test_sink_harness_cells_carry_sink_stats(self):
+        cell = Harness("ss10", sink=True).run_cell("scratch", "O")
+        assert cell.sink_stats is not None and cell.sink_stats.sunk > 0
+        assert cell.collections == 0
+
     def test_run_workload_builds_row(self, tiny_harness):
         row = tiny_harness.run_workload("tiny")
         assert set(row.cells) == {"O", "O_safe", "g", "g_checked"}

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.api import Mode, Options, Toolchain
 from repro.core.annotate import AnnotateOptions
+from repro.workloads import load_workload
 
 POINTERY = "char *f(char *p) { return p + 1; }"
 HELLO = 'int main(void) { printf("hi\\n"); return 7; }'
@@ -78,6 +79,26 @@ class TestToolchain:
             "q = p - 1; return q != 0; }")
         assert result.status == "check"
         assert "outside its object" in result.detail
+
+    def test_sink_option_compiles_with_the_sinking_stage(self):
+        source = load_workload("scratch")
+        plain = Toolchain(config="O").run(source)
+        sunk = Toolchain(config="O", sink=True).run(source)
+        assert (sunk.exit_code, sunk.output) == (plain.exit_code,
+                                                 plain.output)
+        # The scratch buffers move to the frame: zeroing them costs
+        # stores, but no allocation call and no collection is left.
+        assert sunk.cycles < plain.cycles
+        assert sunk.collections == 0 < plain.collections
+
+    def test_execute_leaves_the_program_as_compiled(self):
+        # A sinkable allocation, compiled without the stage.
+        compiled = Toolchain(config="O").compile(
+            "int main(void) { int *b = (int *)GC_malloc(16); "
+            "b[1] = 7; return b[1]; }")
+        before = compiled.asm.render()
+        assert Toolchain(config="O", sink=True).execute(compiled).exit_code == 7
+        assert compiled.asm.render() == before
 
     def test_options_never_mutated_by_compile(self):
         # The historical bug: compile paths flipped AnnotateOptions.mode

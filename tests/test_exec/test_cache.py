@@ -30,19 +30,23 @@ def _only_entry(cache):
 
 
 class TestRoundtrip:
-    def test_miss_store_hit(self, cache_root):
+    @pytest.mark.parametrize("name,peephole", (("O", False),
+                                               ("O_safe", True)))
+    def test_miss_store_hit(self, cache_root, name, peephole):
         cache = CompileCache(cache_root)
-        config = CompileConfig.named("O")
+        config = CompileConfig.named(name)
+        config.peephole = peephole
         with cache_context(cache):
-            first = compile_source(SRC_A, config)
+            first = compile_source(TINY, config)
             assert (cache.stats.misses, cache.stats.stores) == (1, 1)
-            second = compile_source(SRC_A, config)
+            second = compile_source(TINY, config)
         assert cache.stats.hits == 1
         # The hit is a fresh unpickled program, not an alias ...
         assert second is not first
-        # ... with an identical instruction stream.
+        # ... with an identical instruction stream, postprocessed or not.
         assert second.asm.render() == first.asm.render()
         assert second.keep_lives == first.keep_lives
+        assert second.peephole_stats == first.peephole_stats
 
     def test_hit_executes_identically(self, cache_root):
         cache = CompileCache(cache_root)
@@ -88,7 +92,9 @@ class TestKeyInvalidation:
                 CompileConfig(optimize=True, safe=True),
                 CompileConfig(optimize=True, checked=True),
                 CompileConfig(optimize=True, naive_keep_live=True),
-                CompileConfig(optimize=True, run_cpp=False)):
+                CompileConfig(optimize=True, run_cpp=False),
+                CompileConfig(optimize=True, peephole=True),
+                CompileConfig(optimize=True, sink=True)):
             assert self.key(cache, config=mutated) != self.key(cache, config=base)
 
     def test_pass_list_changes_key(self, cache_root):
@@ -160,7 +166,6 @@ class TestResultCacheKeys:
             cache.key_for(SRC_A, config, stdin="x"),
             cache.key_for(SRC_A, config, gc_interval=1),
             cache.key_for(SRC_A, config, poison=True),
-            cache.key_for(SRC_A, config, postprocessed=True),
             cache.key_for(SRC_A, config, max_instructions=1000),
         ]
         assert base not in variants

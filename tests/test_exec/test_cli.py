@@ -125,7 +125,8 @@ class TestFuzzCLI:
                     if not ln.startswith("stage wall:")]
 
         assert stable(sharded.out) == stable(serial.out)
-        # The serial (cold) run populated the cache; the sharded re-run
-        # compiles nothing — every lookup is a hit.
-        assert "15 misses, 15 stores" in serial.err
+        # The serial (cold) run populated the cache: 3 programs x (5
+        # configs + 3 sink configs).  The sharded re-run compiles
+        # nothing — every lookup is a hit.
+        assert "24 misses, 24 stores" in serial.err
         assert "42 hits, 0 misses, 0 stores" in sharded.err

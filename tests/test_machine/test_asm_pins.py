@@ -3,7 +3,9 @@ rendered assembly, per config and machine model: the optimizer (the
 ``addrfold`` reassociation above all), register allocation and frame
 layout must keep producing the same code.  The postprocessors' output
 is pinned too: O_safe code after the peephole pass and O code after
-allocation sinking, on ss10."""
+allocation sinking, on ss10, run as public functions on a compiled
+program and as the compile stages that ``CompileConfig.peephole`` and
+``CompileConfig.sink`` name."""
 
 import hashlib
 
@@ -130,16 +132,22 @@ POSTPROC_SHA256 = {
     ("scratch", "sink_program"):
         "d6086670493886d22290f398126721e8d1d92d765c69d2309f76f490b0abe60a",
 }
-POSTPROCESSORS = {"postprocess": ("O_safe", postprocess),
-                  "sink_program": ("O", sink_program)}
+POSTPROCESSORS = {"postprocess": ("O_safe", "peephole", postprocess),
+                  "sink_program": ("O", "sink", sink_program)}
 
 
+@pytest.mark.parametrize("stage", (False, True), ids=("function", "stage"))
 @pytest.mark.parametrize("postprocessor", sorted(POSTPROCESSORS))
 @pytest.mark.parametrize("workload", sorted({w for w, _ in POSTPROC_SHA256}))
-def test_postprocessed_asm_is_pinned(workload, postprocessor):
-    config, run = POSTPROCESSORS[postprocessor]
-    asm = compile_source(load_workload(workload),
-                         CompileConfig.named(config, MODELS["ss10"])).asm
-    run(asm)
-    assert (hashlib.sha256(asm.render().encode()).hexdigest()
+def test_postprocessed_asm_is_pinned(workload, postprocessor, stage):
+    config_name, field, run = POSTPROCESSORS[postprocessor]
+    config = CompileConfig.named(config_name, MODELS["ss10"])
+    source = load_workload(workload)
+    compiled = compile_source(source, config)
+    stats = run(compiled.asm)
+    if stage:
+        setattr(config, field, True)
+        compiled = compile_source(source, config)
+        assert getattr(compiled, f"{field}_stats") == stats
+    assert (hashlib.sha256(compiled.asm.render().encode()).hexdigest()
             == POSTPROC_SHA256[workload, postprocessor])

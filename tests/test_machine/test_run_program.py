@@ -152,9 +152,8 @@ def test_vm_is_freed_without_the_cyclic_collector(monkeypatch, source,
             pygc.enable()
 
 
-def test_only_vm_py_constructs_a_vm_or_a_collector():
-    # A second place that builds a VM would be a second VM life: its own
-    # failure handling, poisoning and release.
+def _modules_calling(*names):
+    """The modules of src/repro that call a function by one of names."""
     root = pathlib.Path(repro.__file__).parent
     callers = set()
     for path in sorted(root.rglob("*.py")):
@@ -165,6 +164,19 @@ def test_only_vm_py_constructs_a_vm_or_a_collector():
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
-            if name in ("VM", "Collector"):
+            if name in names:
                 callers.add(path.relative_to(root).as_posix())
-    assert callers == {"machine/vm.py"}
+    return callers
+
+
+def test_only_vm_py_constructs_a_vm_or_a_collector():
+    # A second place that builds a VM would be a second VM life: its own
+    # failure handling, poisoning and release.
+    assert _modules_calling("VM", "Collector") == {"machine/vm.py"}
+
+
+def test_only_the_driver_runs_the_postprocessing_stages():
+    # A caller that rewrote a compiled program would bypass the compile
+    # cache's key and rewrite a program another caller may hold.
+    assert _modules_calling("postprocess", "sink_program") == \
+        {"machine/driver.py"}

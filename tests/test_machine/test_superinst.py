@@ -168,30 +168,16 @@ class TestBitIdentity:
 
 
 class TestCacheSalting:
-    def test_sink_salts_result_keys(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = CompileConfig.named("O")
-        assert (cache.key_for(PROGRAM, config)
-                != cache.key_for(PROGRAM, config, sink=True))
-
-    def test_default_knobs_leave_keys_unchanged(self, tmp_path):
-        # sink=False must address the same entry as a caller that never
-        # heard of the knob.
-        cache = ResultCache(str(tmp_path))
-        config = CompileConfig.named("O")
-        assert (cache.key_for(PROGRAM, config)
-                == cache.key_for(PROGRAM, config, sink=False))
-
     def test_unsunk_keys_are_pinned(self, tmp_path):
         # Fusion never enters a result key: these are the addresses of
-        # the repro-exec-cache/3 key shape, and cached cells must stay
+        # the repro-exec-cache/4 key shape, and cached cells must stay
         # reachable under them whichever runs fuse.
         cache = ResultCache(str(tmp_path))
         source = "int main(void) { return 42; }\n"
         assert cache.key_for(source, CompileConfig.named("O")) == (
-            "ce62f029ed4ec17060c6d7d53917b193"
-            "b4c0ff7747143d70200121eee9ae858b")
+            "bd18d86f712f7432b2a543eebf5c4bca"
+            "9ff915c5f5d4000d6ffbb4fffefed9c0")
         assert cache.key_for(source, CompileConfig.named("g_checked"),
                              stdin="x", gc_interval=7) == (
-            "7290e3540ea55b4af10b899e6e974a83"
-            "2905285bcbae9975c1eb6f00d94f8537")
+            "1e81efd5466ff2af8440644650fe7d73"
+            "04fe52622542e1ac05c90326c37d1e7c")

@@ -220,3 +220,22 @@ class TestEndToEndSummary:
         assert s["profile"]["total_cycles"] == result.cycles
         text = render_text(s, profile)
         assert "VM hot-spot profile" in text
+
+    def test_postprocessing_stages_run_inside_the_compile(self):
+        tracer = runtime.enable_tracing()
+        config = CompileConfig.named("O_safe", MODELS["ss10"])
+        config.peephole = config.sink = True
+        compiled = compile_source(PROGRAM, config)
+        runtime.reset()
+        spans = [e for e in tracer.events if e.kind == "span"]
+        names = {e.id: e.name for e in spans}
+        stages = [e for e in spans if e.name.startswith("postproc.")]
+        assert [(e.name, names[e.parent], e.args) for e in stages] == [
+            ("postproc.peephole", "compile",
+             {"rewrites": compiled.peephole_stats.total}),
+            ("postproc.sink", "compile",
+             {"sunk": compiled.sink_stats.sunk,
+              "eliminated": compiled.sink_stats.eliminated})]
+        phases = summarize(tracer.events)["compile"]["phases"]
+        assert phases["postproc.peephole"]["count"] == 1
+        assert phases["postproc.sink"]["count"] == 1

@@ -1,10 +1,19 @@
 """Machine-level liveness analysis tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.machine.asm import MFunc, MInst
 from repro.machine.cfg import basic_blocks
+from repro.machine.driver import CompileConfig, compile_source
+from repro.postproc import postprocess
 from repro.postproc.liveness import Liveness
+from repro.workloads import load_workload
+
+CORPUS = sorted((Path(__file__).parents[1] / "test_fuzz" / "corpus")
+                .glob("*.c"))
+WORKLOADS = ("cordtest", "cfrac", "miniawk", "minips", "gcbench", "scratch")
 
 
 def mk(insts):
@@ -104,3 +113,45 @@ class TestLiveness:
         live = Liveness(fn)
         assert not live.dead_after(1, "t0")
         assert not live.dead_after(1, "t1")
+
+
+class TestRefresh:
+    def _same_as_fresh(self, live):
+        fresh = Liveness(live.fn)
+        return (live.live_after, live.live_out) == \
+            (fresh.live_after, fresh.live_out)
+
+    def test_a_block_that_needs_less_on_entry_resolves(self):
+        fn = mk([
+            MInst("li", rd="t0", imm=1),           # 0
+            MInst("bz", rs1="t1", symbol="L"),     # 1
+            MInst("mov", rd="t2", rs1="t0"),       # 2: t2 is never read
+            MInst("label", symbol="L"),            # 3
+            MInst("ret"),                          # 4
+        ])
+        live = Liveness(fn)
+        assert not live.dead_after(1, "t0")
+        fn.insts[2] = MInst("nop")
+        live.refresh(1)
+        # Block 1 no longer needs t0, so block 0's live-out shrank too.
+        assert live.dead_after(1, "t0")
+        assert self._same_as_fresh(live)
+
+    @pytest.mark.parametrize("config", ("O_safe", "O0"))
+    def test_every_peephole_refresh_matches_a_fresh_solve(self, config,
+                                                           monkeypatch):
+        refreshed = []
+        real = Liveness.refresh
+
+        def checked(live, b):
+            real(live, b)
+            assert self._same_as_fresh(live)
+            refreshed.append(b)
+
+        monkeypatch.setattr(Liveness, "refresh", checked)
+        sources = ([path.read_text() for path in CORPUS]
+                   + [load_workload(w) for w in WORKLOADS])
+        for source in sources:
+            postprocess(compile_source(source,
+                                       CompileConfig.named(config)).asm)
+        assert len(refreshed) > 100

@@ -4,6 +4,7 @@ safety constraints."""
 import pytest
 
 from repro.machine import CompileConfig, VM, compile_source
+from repro.machine.driver import CONFIGS
 from repro.machine.asm import MFunc, MInst
 from repro.postproc import PeepholeStats, postprocess, postprocess_function
 
@@ -80,6 +81,18 @@ class TestPattern1FoldLoad:
         ])
         stats = postprocess_function(fn)
         assert stats.loads_folded == 0
+
+    def test_store_of_the_address_itself_is_kept(self):
+        # Folding would store the old z, not the sum, and delete the add.
+        fn = mk([
+            MInst("add", rd="t0", rs1="a0", rs2="a1"),
+            MInst("st", rd="t0", rs1="t0", imm=0),
+            MInst("ret"),
+        ])
+        before = [i.render() for i in fn.insts]
+        stats = postprocess_function(fn)
+        assert stats.loads_folded == 0
+        assert [i.render() for i in fn.insts] == before
 
     def test_fold_through_keepsafe_marker(self):
         # z is a KEEP_LIVE *result* (rs1): folding is allowed.
@@ -219,6 +232,26 @@ class TestEndToEnd:
         r_proc = VM(processed.asm).run()
         assert r_proc.cycles <= r_plain.cycles
         assert processed.asm.code_size() <= plain.asm.code_size()
+
+    # A pointer stored into its own slot: ``*q = q`` after ``q = a + i``.
+    SELF_STORE = """
+    int main(void) {
+        char **a = (char **)GC_malloc(64);
+        int i = 3;
+        char **q = a + i;
+        *q = (char *)q;
+        return (int)(a[3] - (char *)a);
+    }
+    """
+
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    def test_store_of_its_own_address_matches_g(self, config_name):
+        config = CompileConfig.named(config_name)
+        config.peephole = True
+        processed = compile_source(self.SELF_STORE, config)
+        reference = compile_source(self.SELF_STORE, CompileConfig.named("g"))
+        assert VM(processed.asm).run().exit_code == \
+            VM(reference.asm).run().exit_code == 12
 
     def test_idempotent(self):
         config = CompileConfig.named("O_safe")

@@ -35,7 +35,7 @@ class TestRegistry:
         assert envelopes.SERVE_REQUEST == "repro-serve-request/1"
         assert envelopes.SERVE_RESPONSE == "repro-serve-response/1"
         assert envelopes.SERVE_ERROR == "repro-serve-error/1"
-        assert envelopes.EXEC_CACHE == "repro-exec-cache/3"
+        assert envelopes.EXEC_CACHE == "repro-exec-cache/4"
 
     def test_registry_table_renders_every_schema(self):
         table = envelopes.registry_table()
