@@ -36,7 +36,8 @@ from check_obs_overhead import compare_to_baseline  # noqa: E402
 
 # Runs in a child interpreter with PYTHONPATH set by the parent; prints
 # one JSON line {"wall_s": ..., "cycles": ...}.  Deliberately restricted
-# to API that exists on both sides of this PR (no policy= kwarg).
+# to API that both compared trees have (run_sharded's first three
+# parameters).
 CHILD = r"""
 import json, sys, time
 from repro.exec.engine import run_sharded

@@ -157,7 +157,7 @@ class Lexer:
                 append(Token("keyword" if text in KEYWORDS else "ident",
                              text, text, pos))
             elif kind == "num":
-                append(_number_token(text, pos))
+                append(_number_token(text, pos, src))
             elif kind == "op":
                 append(Token("op", text, text, pos))
             elif kind == "string":
@@ -194,13 +194,15 @@ _INT_SUFFIXES = "uUlL"
 _FLOAT_SUFFIXES = "fFlL"
 
 
-def _number_token(text: str, pos: int) -> Token:
+def _number_token(text: str, pos: int, src: str) -> Token:
     if text[0] in "0" and len(text) > 1 and text[1] in "xX":
         return Token("int", text, int(text.rstrip(_INT_SUFFIXES), 16), pos)
     if "." in text or "e" in text or "E" in text:
         return Token("float", text, float(text.rstrip(_FLOAT_SUFFIXES)), pos)
     digits = text.rstrip(_INT_SUFFIXES)
     base = 8 if digits.startswith("0") and len(digits) > 1 else 10
+    if base == 8 and ("8" in digits or "9" in digits):
+        raise LexError(f"invalid digit in octal constant {text}", pos, src)
     return Token("int", text, int(digits, base), pos)
 
 

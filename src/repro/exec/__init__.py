@@ -20,7 +20,6 @@ from .cache import (  # noqa: F401
     install_cache, salt_context, uninstall_cache,
 )
 from .engine import (  # noqa: F401
-    NO_RETRY, EngineError, MergedRun, ResilPolicy, ShardFailure, ShardPlan,
-    TaskFailure, default_policy, plan_shards, policy_context, run_sharded,
-    set_default_policy,
+    EngineError, MergedRun, ShardFailure, ShardPlan, TaskFailure,
+    plan_shards, run_sharded, task_timeout_context,
 )

@@ -14,39 +14,40 @@ path is provable:
   ``(index, result)`` pairs back over a pipe; the parent merges them
   into **canonical payload order**, so downstream reports are
   byte-identical no matter how execution interleaved.
-* ``workers <= 1`` executes inline in the calling process — same
-  containment semantics (per-task exception capture), no subprocess —
-  which is what reducer probes pin themselves to.
+* ``workers <= 1`` executes inline in the calling process through the
+  same task loop a worker runs — same containment (per-task exception
+  capture), no subprocess — which is what reducer probes pin themselves
+  to.
 
-Resilience (:class:`ResilPolicy`, on by default):
+Recovery (always on; one supervisor, :func:`_run_pool_once`, runs every
+forked worker):
 
-* A worker dying, hanging past the per-task timeout, or corrupting its
+* A worker dying, hanging past the task timeout, or corrupting its
   pipe loses only its *unreported* tasks — and those are retried, up to
-  ``max_rounds`` extra rounds with deterministic backoff, replanned
-  round-robin over fresh workers.  Because every task is a pure
-  function of its payload and results merge in canonical order, a
+  ``MAX_ROUNDS`` extra rounds with deterministic backoff (``BACKOFF_S``),
+  replanned round-robin over fresh workers.  Because every task is a
+  pure function of its payload and results merge in canonical order, a
   retried task's result is byte-identical to an untroubled run's.
 * Each worker death is attributed to the first unreported task of the
   dead shard (the one it was presumably running).  A task blamed for
-  ``max_task_deaths`` deaths is **quarantined**: it runs once more
-  pinned alone in a single-task process, and if it kills that worker
-  too it is reported as a contained :class:`TaskFailure` — a poison
-  task costs the run one index, never the run.
-* Tasks still unfinished when the retry budget runs out fall back to
-  pinned serial execution (``serial_fallback``), flagged as a degraded
-  run; with the fallback disabled they surface as the classic
-  :class:`ShardFailure`.
-* ``NO_RETRY`` restores the pre-resilience containment semantics
-  (one round, shard losses surface immediately).
+  ``MAX_TASK_DEATHS`` deaths is **quarantined**: it runs once more
+  pinned alone in a one-shard round, and if it kills that worker too it
+  is reported as a contained :class:`TaskFailure` — a poison task costs
+  the run one index, never the run.
+* Tasks still unfinished when the retry budget runs out run pinned the
+  same way, one per process, and the run is flagged as degraded.
+* The task timeout (seconds without a worker reporting anything) is the
+  one recovery value a caller sets, for a block, with
+  :func:`task_timeout_context`; by default there is none.
 
 A run-level ``timeout`` still bounds the whole job: when the deadline
 expires, unreported work surfaces as ``ShardFailure("timed out")`` and
 no retries are attempted — the budget is gone.
 
-Fault injection: the worker loop, the pipe sender, and the pinned
-runner consult :mod:`repro.resil.inject` at each seam.  With no fault
-plan installed (always, outside chaos testing) every hook is a single
-``is None`` check.
+Fault injection: a worker's task loop and pipe sender consult
+:mod:`repro.resil.inject` at each seam; an inline run never does.  With
+no fault plan installed (always, outside chaos testing) every hook is a
+single ``is None`` check.
 
 Telemetry: when the parent's ``repro.obs`` tracer is enabled, each
 worker records into a fresh tracer and ships its events home in its
@@ -64,7 +65,7 @@ import contextlib
 import multiprocessing
 import multiprocessing.connection
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..obs import clock as obs_clock
@@ -96,52 +97,25 @@ class ShardPlan:
         return sum(len(s) for s in self.shards)
 
 
-@dataclass(frozen=True)
-class ResilPolicy:
-    """How hard the pool fights to finish every task.
+#: Retry rounds after the first one, worker deaths that quarantine a
+#: task, and the sleep before retry round k (the last value repeats).
+MAX_ROUNDS = 2
+MAX_TASK_DEATHS = 2
+BACKOFF_S = (0.02, 0.05)
 
-    ``max_rounds`` is the number of *retry* rounds after the initial
-    one; ``backoff_s`` gives the deterministic sleep before retry round
-    k (last value repeats).  ``max_task_deaths`` worker deaths
-    attributed to one task quarantine it; ``task_timeout`` (seconds
-    without a worker reporting anything) converts hangs into worker
-    losses.  ``serial_fallback`` runs still-unfinished tasks pinned
-    one-per-process as a last resort instead of failing their shard.
-    """
-
-    max_rounds: int = 2
-    max_task_deaths: int = 2
-    task_timeout: float | None = None
-    backoff_s: tuple[float, ...] = (0.02, 0.05)
-    serial_fallback: bool = True
-
-
-#: Pre-resilience semantics: one round, losses surface as ShardFailure.
-NO_RETRY = ResilPolicy(max_rounds=0, serial_fallback=False)
-
-_default_policy = ResilPolicy()
-
-
-def default_policy() -> ResilPolicy:
-    return _default_policy
-
-
-def set_default_policy(policy: ResilPolicy) -> None:
-    global _default_policy
-    _default_policy = policy
+_task_timeout: float | None = None
 
 
 @contextlib.contextmanager
-def policy_context(policy: ResilPolicy | None = None, **overrides):
-    """Run a block under a different default :class:`ResilPolicy`
-    (``policy_context(task_timeout=5.0)`` tweaks the current one)."""
-    previous = _default_policy
-    base = policy if policy is not None else previous
-    set_default_policy(replace(base, **overrides) if overrides else base)
+def task_timeout_context(seconds: float | None):
+    """Within the block, a worker that reports nothing for ``seconds``
+    is taken for hung, and its unreported tasks are retried."""
+    global _task_timeout
+    previous, _task_timeout = _task_timeout, seconds
     try:
-        yield _default_policy
+        yield
     finally:
-        set_default_policy(previous)
+        _task_timeout = previous
 
 
 @dataclass
@@ -218,29 +192,37 @@ def plan_shards(payloads: Sequence[Any], workers: int) -> ShardPlan:
     return ShardPlan(workers=workers, shards=shards)
 
 
-def _run_inline(plan: ShardPlan,
-                fn: Callable[[Any], Any]) -> MergedRun:
-    merged = MergedRun(results=[None] * plan.total, workers=1)
+def _run_tasks(tasks: list[Task], fn: Callable[[Any], Any],
+               send: Callable[[tuple], Any], shard: int,
+               seams: bool) -> None:
+    """The one task loop, inline and in a worker: run each task and
+    ``send`` its ``("result" | "error", index, value)`` message.
+
+    Only a forked worker passes ``seams``: it may itself run an inline
+    job (a campaign shard runs its oracle cells inline), and those inner
+    task indices must not reach the fault plan's per-task seams.
+    """
     tracer = obs_runtime.get_tracer()
     metrics = obs_runtime.get_metrics()
     clock = obs_clock.get_clock()
-    run_t0 = clock() if metrics is not None else 0
-    for shard in plan.shards:  # one shard when planned with workers=1
-        for task in shard:
-            t0 = clock() if metrics is not None else 0
-            with tracer.span("exec.task", index=task.index, shard=0) as sp:
-                try:
-                    merged.results[task.index] = fn(task.payload)
-                except Exception as exc:  # containment parity with workers
-                    merged.task_failures.append(
-                        TaskFailure(task.index, 0,
-                                    f"{type(exc).__name__}: {exc}"))
-                    sp.set(error=type(exc).__name__)
-                    if metrics is not None:
-                        metrics.counter("exec.task_errors", det=False).inc()
-            if metrics is not None:
-                _observe_task(metrics, t0 - run_t0, clock() - t0)
-    return merged
+    loop_t0 = clock() if metrics is not None else 0
+    for sent, task in enumerate(tasks, 1):
+        if seams:
+            resil_inject.on_task_start(task.index)
+        t0 = clock() if metrics is not None else 0
+        with tracer.span("exec.task", index=task.index, shard=shard) as sp:
+            try:
+                msg = ("result", task.index, fn(task.payload))
+            except Exception as exc:  # contained: only this task is lost
+                msg = ("error", task.index, f"{type(exc).__name__}: {exc}")
+                sp.set(error=type(exc).__name__)
+                if metrics is not None:
+                    metrics.counter("exec.task_errors", det=False).inc()
+            send(msg)
+        if metrics is not None:
+            _observe_task(metrics, t0 - loop_t0, clock() - t0)
+        if seams:
+            resil_inject.on_task_reported(sent)
 
 
 def _observe_task(metrics, queue_wait_ns: int, task_wall_ns: int) -> None:
@@ -253,9 +235,21 @@ def _observe_task(metrics, queue_wait_ns: int, task_wall_ns: int) -> None:
     metrics.histogram("exec.task_wall_ns").observe(max(task_wall_ns, 0))
 
 
+def _run_inline(tasks: list[Task], fn: Callable[[Any], Any]) -> MergedRun:
+    st = _ShardState(shard=0, tasks=tasks)
+    _run_tasks(tasks, fn, lambda msg: _handle_message(msg, st), 0,
+               seams=False)
+    merged = MergedRun(results=[None] * len(tasks), workers=1)
+    for idx, value in st.results.items():
+        merged.results[idx] = value
+    merged.task_failures = [TaskFailure(idx, 0, error)
+                            for idx, error in st.errors]
+    return merged
+
+
 def _worker_main(tasks: list[Task], fn: Callable[[Any], Any],
-                 tracing: bool, conn, shard: int = 0,
-                 attempt: int = 0, metrics_on: bool = False) -> None:
+                 tracing: bool, conn, shard: int, attempt: int,
+                 metrics_on: bool) -> None:
     """Worker entry point: run the shard, streaming results home.
 
     Runs in a forked child.  A fresh tracer is installed so the shard
@@ -271,33 +265,13 @@ def _worker_main(tasks: list[Task], fn: Callable[[Any], Any],
         obs_runtime.enable_tracing()
     else:
         obs_runtime.disable_tracing()
-    metrics = (obs_runtime.set_metrics(obs_metrics.MetricsRegistry())
-               if metrics_on else obs_runtime.set_metrics(None))
-    tracer = obs_runtime.get_tracer()
+    metrics = obs_runtime.set_metrics(
+        obs_metrics.MetricsRegistry() if metrics_on else None)
     for cache in cache_mod.active_caches():
         cache.stats = cache_mod.CacheStats()
     resil_inject.worker_started(shard, attempt)
     send = resil_inject.wrap_send(conn)
-    clock = obs_clock.get_clock()
-    worker_t0 = clock() if metrics is not None else 0
-    sent = 0
-    for task in tasks:
-        resil_inject.on_task_start(task.index)
-        t0 = clock() if metrics is not None else 0
-        with tracer.span("exec.task", index=task.index, shard=shard) as sp:
-            try:
-                result = fn(task.payload)
-            except Exception as exc:
-                send(("error", task.index, f"{type(exc).__name__}: {exc}"))
-                sp.set(error=type(exc).__name__)
-                if metrics is not None:
-                    metrics.counter("exec.task_errors", det=False).inc()
-            else:
-                send(("result", task.index, result))
-        if metrics is not None:
-            _observe_task(metrics, t0 - worker_t0, clock() - t0)
-        sent += 1
-        resil_inject.on_task_reported(sent)
+    _run_tasks(tasks, fn, send, shard, seams=True)
     events = ([e.to_json() for e in obs_runtime.get_tracer().sorted_events()]
               if tracing else [])
     stats = {kind: cache.stats.to_dict()
@@ -309,35 +283,30 @@ def _worker_main(tasks: list[Task], fn: Callable[[Any], Any],
 
 def run_sharded(payloads: Sequence[Any], fn: Callable[[Any], Any],
                 workers: int = 1, timeout: float | None = None,
-                label: str = "exec",
-                policy: ResilPolicy | None = None) -> MergedRun:
+                label: str = "exec") -> MergedRun:
     """Run ``fn`` over ``payloads`` across ``workers`` processes.
 
     Results come back merged in payload order (:class:`MergedRun`);
     failures are contained per task / per shard, never raised here —
     call :meth:`MergedRun.raise_on_failure` when partial results are
-    unacceptable.  ``policy`` (default: the process-wide
-    :func:`default_policy`) controls retry/quarantine behavior; pass
-    :data:`NO_RETRY` for strict single-round containment.
+    unacceptable.  ``workers <= 1`` runs inline; ``timeout`` bounds a
+    forked run as a whole.
     """
     payloads = list(payloads)
     tracer = obs_runtime.get_tracer()
     metrics = obs_runtime.get_metrics()
-    if policy is None:
-        policy = _default_policy
     if metrics is not None:
         metrics.counter("exec.runs", det=False).inc()
         metrics.counter("exec.tasks_total", det=False).inc(len(payloads))
         metrics.gauge("exec.workers").set(max(1, min(int(workers),
                                                      len(payloads) or 1)))
-    if workers <= 1:
-        with tracer.span(f"{label}.run_sharded", workers=1,
-                         tasks=len(payloads), inline=True):
-            return _run_inline(plan_shards(payloads, 1), fn)
     plan = plan_shards(payloads, workers)
+    inline = workers <= 1
     with tracer.span(f"{label}.run_sharded", workers=plan.workers,
-                     tasks=plan.total, inline=False) as sp:
-        merged = _run_resilient(plan, fn, timeout, policy)
+                     tasks=plan.total, inline=inline) as sp:
+        if inline:
+            return _run_inline(plan.shards[0], fn)
+        merged = _run_resilient(plan, fn, timeout)
         sp.set(task_failures=len(merged.task_failures),
                shard_failures=len(merged.shard_failures),
                retries=merged.retries,
@@ -349,7 +318,7 @@ def run_sharded(payloads: Sequence[Any], fn: Callable[[Any], Any],
 
 @dataclass
 class _ShardState:
-    """One pool worker's reporting, pre-merge."""
+    """One shard's reporting (a worker's, or an inline run's), pre-merge."""
 
     shard: int
     tasks: list[Task]
@@ -391,18 +360,25 @@ def _handle_message(msg: tuple, st: _ShardState) -> bool:
     elif kind == "done":
         st.events = msg[1]
         st.cache_stats = msg[2]
-        # Older/foreign workers may send the 3-element form.
-        st.metrics = msg[3] if len(msg) > 3 else None
+        st.metrics = msg[3]
         st.completed = True
         return True
     return False
 
 
 def _run_pool_once(round_shards: list[tuple[int, list[Task]]],
-                   fn: Callable[[Any], Any], tracing: bool, attempt: int,
-                   deadline: float | None, policy: ResilPolicy,
-                   metrics_on: bool = False) -> tuple[list[_ShardState], bool]:
-    """Run one round of workers; returns shard states + timed-out flag."""
+                   fn: Callable[[Any], Any], attempt: int,
+                   deadline: float | None) -> tuple[list[_ShardState], bool]:
+    """Run one round of forked workers, one per shard; returns the shard
+    states and whether the run's ``deadline`` passed.
+
+    The one worker supervisor: a pinned rerun is a one-shard round with
+    shard and attempt -1, which disarms the fault plan's injected pool
+    faults (genuine poison still fires).
+    """
+    tracing = obs_runtime.get_tracer().enabled
+    metrics_on = obs_runtime.get_metrics() is not None
+    task_timeout = _task_timeout
     ctx = multiprocessing.get_context("fork")
     states: list[_ShardState] = []
     slots: dict[Any, _Slot] = {}  # parent conn -> slot
@@ -454,10 +430,10 @@ def _run_pool_once(round_shards: list[tuple[int, list[Task]]],
                 if _handle_message(msg, slot.state):
                     del slots[conn]
                     conn.close()
-            if policy.task_timeout is not None:
+            if task_timeout is not None:
                 now = time.monotonic()
                 for conn, slot in list(slots.items()):
-                    if now - slot.last_progress > policy.task_timeout:
+                    if now - slot.last_progress > task_timeout:
                         slot.state.death_reason = "task hung"
                         slot.proc.terminate()
                         del slots[conn]
@@ -473,54 +449,10 @@ def _run_pool_once(round_shards: list[tuple[int, list[Task]]],
     return states, timed_out
 
 
-def _run_pinned(task: Task, fn: Callable[[Any], Any], tracing: bool,
-                timeout_s: float | None,
-                metrics_on: bool = False) -> _ShardState:
-    """Run one task alone in a dedicated process (attempt=-1: injected
-    pool faults are disarmed; genuine poison still fires)."""
-    ctx = multiprocessing.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    p = ctx.Process(target=_worker_main,
-                    args=([task], fn, tracing, child_conn, -1, -1,
-                          metrics_on),
-                    daemon=True)
-    p.start()
-    child_conn.close()
-    st = _ShardState(shard=-1, tasks=[task])
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    try:
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                st.death_reason = "task hung"
-                break
-            if not parent_conn.poll(0.05):
-                continue
-            try:
-                msg = parent_conn.recv()
-            except (EOFError, OSError):
-                if not st.completed:
-                    st.death_reason = "worker died"
-                break
-            except Exception:
-                st.death_reason = "pipe corrupted"
-                break
-            if _handle_message(msg, st):
-                break
-    finally:
-        if p.is_alive():
-            p.terminate()
-        p.join(timeout=5.0)
-        parent_conn.close()
-    return st
-
-
 def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
-                   timeout: float | None,
-                   policy: ResilPolicy) -> MergedRun:
+                   timeout: float | None) -> MergedRun:
     tracer = obs_runtime.get_tracer()
-    tracing = tracer.enabled
     metrics = obs_runtime.get_metrics()
-    metrics_on = metrics is not None
 
     def count(name: str, n: int = 1) -> None:
         if metrics is not None and n:
@@ -542,7 +474,7 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
     timed_out = False
     rounds = 0
 
-    for attempt in range(policy.max_rounds + 1):
+    for attempt in range(MAX_ROUNDS + 1):
         if not pending or timed_out:
             break
         if attempt == 0:
@@ -551,10 +483,7 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
         else:
             # Deterministic backoff, then replan the survivors
             # round-robin over fresh workers.
-            backoff = policy.backoff_s[
-                min(attempt - 1, len(policy.backoff_s) - 1)]
-            if backoff > 0:
-                time.sleep(backoff)
+            time.sleep(BACKOFF_S[min(attempt - 1, len(BACKOFF_S) - 1)])
             todo = [pending[i] for i in sorted(pending)]
             replan = plan_shards([t.payload for t in todo],
                                  min(plan.workers, len(todo)))
@@ -569,9 +498,8 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
             count("exec.retries", len(todo))
         rounds += 1
         count("exec.rounds")
-        states, timed_out = _run_pool_once(round_shards, fn, tracing,
-                                           attempt, deadline, policy,
-                                           metrics_on)
+        states, timed_out = _run_pool_once(round_shards, fn, attempt,
+                                           deadline)
         all_states.extend(states)
         # Fold in deterministic shard order.
         for st in states:
@@ -596,7 +524,7 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                 for idx in missing:
                     lost_reason[idx] = st.death_reason
                 if (culprit is not None
-                        and death_counts[culprit] >= policy.max_task_deaths):
+                        and death_counts[culprit] >= MAX_TASK_DEATHS):
                     quarantine[culprit] = pending.pop(culprit)
                     count("exec.quarantined")
                     tracer.instant("resil.quarantine", index=culprit,
@@ -616,11 +544,10 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
     merged = MergedRun(results=[None] * plan.total, workers=plan.workers,
                        retries=retries, worker_deaths=worker_deaths,
                        rounds=rounds)
-    pinned_states: list[_ShardState] = []
 
     def run_pinned(task: Task, context: str) -> None:
-        st = _run_pinned(task, fn, tracing, policy.task_timeout, metrics_on)
-        pinned_states.append(st)
+        (st,), _ = _run_pool_once([(-1, [task])], fn, -1, None)
+        all_states.append(st)
         idx = task.index
         if idx in st.results:
             results[idx] = st.results[idx]
@@ -636,30 +563,25 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                 f"last: {st.death_reason}")
 
     if timed_out:
-        # Budget exhausted: no recovery attempts, classic containment.
+        # Budget exhausted: no recovery attempts.  Unreported work fails
+        # per shard, grouped by original shard and loss reason.
         pending.update(quarantine)
-        quarantine.clear()
-        for idx in pending:
-            lost_reason.setdefault(idx, "timed out")
+        by_key: dict[tuple[int, str], list[int]] = {}
+        for idx in sorted(pending):
+            key = (home_shard[idx], lost_reason.get(idx, "timed out"))
+            by_key.setdefault(key, []).append(idx)
+        for (shard, reason), indices in sorted(by_key.items()):
+            merged.shard_failures.append(ShardFailure(shard, reason, indices))
     else:
         for idx in sorted(quarantine):
             run_pinned(quarantine.pop(idx), "quarantined rerun")
             merged.quarantined.append(idx)
-        if pending and policy.serial_fallback:
+        if pending:
             merged.degraded = True
             count("exec.degraded")
             tracer.instant("resil.degraded", tasks=len(pending))
             for idx in sorted(pending):
                 run_pinned(pending.pop(idx), "serial fallback")
-
-    # Whatever is still pending becomes per-shard failures, grouped by
-    # original shard and loss reason — exactly the NO_RETRY semantics.
-    by_key: dict[tuple[int, str], list[int]] = {}
-    for idx in sorted(pending):
-        key = (home_shard[idx], lost_reason.get(idx, "worker died"))
-        by_key.setdefault(key, []).append(idx)
-    for (shard, reason), indices in sorted(by_key.items()):
-        merged.shard_failures.append(ShardFailure(shard, reason, indices))
 
     for idx, value in results.items():
         merged.results[idx] = value
@@ -667,8 +589,8 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
     # Absorb shard telemetry + cache counters in execution order (rounds
     # then shards, pinned runs last), so the merged stream is
     # deterministic given deterministic shard streams.
-    for st in all_states + pinned_states:
-        if st.events and tracing:
+    for st in all_states:
+        if st.events and tracer.enabled:
             tracer.absorb(st.events, shard=st.shard)
         if st.cache_stats:
             for kind, stats in st.cache_stats.items():

@@ -32,6 +32,11 @@ class Vreg:
     id: int
     hint: str = ""
 
+    def __hash__(self) -> int:
+        # Equal vregs share an id, and register allocation's sets and
+        # dicts of vregs then hash one int instead of an (id, hint) tuple.
+        return self.id
+
     def __repr__(self) -> str:
         return f"%{self.id}" + (f"({self.hint})" if self.hint else "")
 
@@ -130,7 +135,6 @@ class GlobalVar:
     size: int
     align: int = 4
     init_bytes: bytes = b""
-    address: int = 0  # assigned at link time
 
 
 @dataclass

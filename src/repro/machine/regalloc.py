@@ -17,6 +17,7 @@ location as the result") via an allocation hint.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cfg import basic_blocks, live_sets, successors
@@ -112,8 +113,9 @@ def build_intervals(fn: IRFunc) -> tuple[dict[Vreg, Interval], list[int]]:
                 iv = intervals.setdefault(
                     inst.dst, Interval(inst.dst, 2 * i + 1, 2 * i + 1))
                 iv.hint = inst.args[0]
-    for iv in intervals.values():
-        iv.crosses_call = any(iv.start < c and iv.end > c for c in call_positions)
+    for iv in intervals.values():  # call_positions is ascending
+        k = bisect_right(call_positions, iv.start)
+        iv.crosses_call = k < len(call_positions) and call_positions[k] < iv.end
     return intervals, call_positions
 
 
@@ -144,10 +146,9 @@ def allocate(fn: IRFunc, model: MachineModel) -> Allocation:
 
     for iv in order:
         expire(iv.start)
-        pools = ([free_callee, free_caller] if iv.crosses_call
+        # Across a call, a caller-saved register would be clobbered.
+        pools = ([free_callee] if iv.crosses_call
                  else [free_caller, free_callee])
-        if iv.crosses_call:
-            pools = [free_callee]  # caller-saved would be clobbered
         reg: str | None = None
         # Allocation hint (keep/mov ties).
         if iv.hint is not None:

@@ -363,7 +363,6 @@ class VM:
         for name, gvar in self.program.globals.items():
             align = max(gvar.align, 1)
             addr = (addr + align - 1) // align * align
-            gvar.address = addr
             self.global_addr[name] = addr
             self.memory.map_range(addr, max(gvar.size, 1))
             if gvar.init_bytes:
@@ -372,7 +371,7 @@ class VM:
         self.static_end = addr
         for name, gvar in self.program.globals.items():
             for offset, symbol in getattr(gvar, "relocs", []):
-                self.memory.store_word(gvar.address + offset,
+                self.memory.store_word(self.global_addr[name] + offset,
                                        self.global_addr[symbol])
         # Function entry points get fake, non-heap addresses.
         self.func_addr: dict[str, int] = {}

@@ -95,7 +95,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         try:
             with inject.plan_context(plan), \
                  exec_cache.cache_context(*exec_cache.open_caches(root)), \
-                 engine.policy_context(task_timeout=args.task_timeout):
+                 engine.task_timeout_context(args.task_timeout):
                 for name in suites:
                     try:
                         faulted[name] = _SUITES[name](args)

@@ -63,7 +63,7 @@ class ServeConfig:
     max_queue_depth: int = 64
     tenant_inflight: int = 8
     tenant_jobs: int | None = None     # lifetime budget per tenant
-    task_timeout: float | None = None  # resil policy override per job
+    task_timeout: float | None = None  # engine hang sweep per job
     max_instructions: int = 500_000_000
 
     def defaults(self) -> JobDefaults:
@@ -336,12 +336,11 @@ class Daemon:
             pool.shutdown(wait=True)
 
     def _execute(self, job: _Job) -> dict:
-        """Runs on the executor thread; the resilience policy override
-        (task hang sweep) applies per job, everything else inherits the
-        ambient engine defaults — including an installed fault plan."""
+        """Runs on the executor thread; the configured engine task
+        timeout (hang sweep) applies per job, everything else inherits
+        the ambient engine state — including an installed fault plan."""
         if self.config.task_timeout is not None:
-            with engine.policy_context(
-                    task_timeout=self.config.task_timeout):
+            with engine.task_timeout_context(self.config.task_timeout):
                 return run_job(job.method, job.params, self._defaults)
         return run_job(job.method, job.params, self._defaults)
 

@@ -53,6 +53,12 @@ class TestNumbers:
     def test_zero_is_not_octal_error(self):
         assert tokenize("0")[0].value == 0
 
+    @pytest.mark.parametrize("literal", ["08", "099u", "0789"])
+    def test_octal_with_digit_8_or_9_raises(self, literal):
+        with pytest.raises(LexError, match="line 1, col 8: invalid digit "
+                                           f"in octal constant {literal}"):
+            tokenize(f"return {literal};")
+
     def test_integer_suffixes_consumed(self):
         toks = tokenize("10UL 7u 3L")
         assert [t.value for t in toks[:3]] == [10, 7, 3]

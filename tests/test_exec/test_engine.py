@@ -7,9 +7,7 @@ import time
 import pytest
 
 from repro.exec import cache as exec_cache
-from repro.exec.engine import (
-    NO_RETRY, EngineError, plan_shards, run_sharded,
-)
+from repro.exec.engine import EngineError, plan_shards, run_sharded
 from repro.machine.driver import CompileConfig, compile_source
 from repro.obs import runtime as obs_runtime
 
@@ -131,22 +129,6 @@ class TestContainment:
         assert merged.worker_deaths >= 2
         assert merged.quarantined == [3]
         with pytest.raises(EngineError, match="poison task"):
-            merged.raise_on_failure()
-
-    def test_no_retry_policy_keeps_legacy_shard_loss(self):
-        # NO_RETRY restores the pre-resilience contract: a worker death
-        # loses the whole remainder of its shard.
-        merged = run_sharded(list(range(8)), die_on_three, workers=2,
-                             policy=NO_RETRY)
-        assert merged.results[0::2] == [0, 2, 4, 6]
-        assert merged.results[1] == 1
-        assert merged.results[3] is None
-        assert len(merged.shard_failures) == 1
-        failure = merged.shard_failures[0]
-        assert failure.shard == 1
-        assert failure.reason == "worker died"
-        assert failure.lost_indices == [3, 5, 7]
-        with pytest.raises(EngineError, match="worker died"):
             merged.raise_on_failure()
 
     def test_timeout_poisons_unfinished_shards(self):

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.cfront import parse, typecheck
+from repro.machine.driver import CompileConfig, compile_source
 from repro.machine.lower import lower_unit
 from repro.machine.models import MachineModel, PENTIUM_90, SPARC_10
 from repro.machine.opt import optimize
 from repro.machine.regalloc import allocate, build_intervals
+from repro.workloads import load_workload
 
 
 def lowered(source, fn_name, opt=True):
@@ -44,6 +46,17 @@ class TestIntervals:
         assert calls
         crossing = [iv for iv in intervals.values() if iv.crosses_call]
         assert crossing
+
+    @pytest.mark.parametrize("config", ["O0", "O_safe", "g"])
+    def test_call_crossing_matches_a_scan_of_every_call(self, config):
+        ir = compile_source(load_workload("cordtest"),
+                            CompileConfig.named(config)).ir
+        for fn in ir.functions.values():
+            intervals, calls = build_intervals(fn)
+            assert calls == sorted(calls)
+            for iv in intervals.values():
+                assert iv.crosses_call == any(iv.start < c < iv.end
+                                              for c in calls), iv
 
 
 class TestAllocation:

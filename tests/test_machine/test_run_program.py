@@ -3,6 +3,7 @@
 import ast
 import gc as pygc
 import pathlib
+import pickle
 import weakref
 
 import pytest
@@ -37,6 +38,13 @@ int main(void) {
     return s;
 }
 """
+
+
+# Globals the VM links: a pointer initialized to a string literal's
+# address (a relocation), the literal, and a plain array.
+GLOBALS = ('char *msg = "ok"; char buf[8];\n'
+           'int main(void) { buf[1] = 3; printf("%s %d\\n", msg, buf[1]); '
+           'return 0; }')
 
 
 def compile_for(source, config="O"):
@@ -79,6 +87,14 @@ class TestSettings:
                   "GC_collect(); p = (unsigned char *)~h; return p[0]; }")
         assert run(source, "g").exit_code == 1
         assert run(source, "g", poison=True).exit_code == vm_module.POISON_BYTE
+
+
+def test_a_run_leaves_the_program_as_compiled():
+    compiled = compile_for(GLOBALS)
+    before = pickle.dumps(compiled.asm), pickle.dumps(compiled.ir)
+    result = run_program(compiled.asm, compiled.config.model)
+    assert result.status == "ok" and result.output == "ok 3\n"
+    assert (pickle.dumps(compiled.asm), pickle.dumps(compiled.ir)) == before
 
 
 class TestFailuresAreResults:

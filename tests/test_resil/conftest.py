@@ -2,7 +2,7 @@
 
 Worker functions live at module scope so forked engine workers can
 resolve them; every test must leave the process-wide fault plan and
-default policy untouched (the autouse fixture asserts it).
+engine task timeout untouched (the autouse fixture asserts it).
 """
 
 import pytest
@@ -28,8 +28,7 @@ int main(void) {
 def _no_leaked_state():
     yield
     assert inject.active_plan() is None, "test leaked an installed fault plan"
-    assert engine.default_policy() == engine.ResilPolicy(), \
-        "test leaked a modified default policy"
+    assert engine._task_timeout is None, "test leaked a task timeout"
     assert not exec_cache.active_caches(), "test leaked installed caches"
 
 

@@ -6,12 +6,12 @@ exactly what the fault-free run produces — and only then inspects the
 recovery accounting.
 """
 
+import time
+
 import pytest
 
-from repro.exec.engine import (
-    NO_RETRY, EngineError, ResilPolicy, default_policy, policy_context,
-    run_sharded, set_default_policy,
-)
+from repro.exec import engine
+from repro.exec.engine import run_sharded, task_timeout_context
 from repro.obs import runtime as obs_runtime
 from repro.resil import inject, parse_faults
 
@@ -23,6 +23,18 @@ CLEAN = [x * x for x in PAYLOADS]
 # -- module-level worker functions (must be picklable by name) -------------
 
 def square(x):
+    return x * x
+
+
+def inner_squares(x):
+    # An outer task that runs an inline job of its own, with more
+    # payloads than the outer job has.
+    return run_sharded(list(range(x, x + 8)), square, workers=1).results
+
+
+def hang_on_three(x):
+    if x == 3:
+        time.sleep(120)  # a real hang: pinned reruns cannot disarm it
     return x * x
 
 
@@ -56,16 +68,6 @@ class TestCrashRecovery:
         assert faulted.results == reference.results
         assert repr(faulted.results) == repr(reference.results)
 
-    def test_no_retry_policy_turns_crash_into_shard_loss(self):
-        plan = parse_faults("worker_crash@shard1", seed=0)
-        with inject.plan_context(plan):
-            merged = run_sharded(PAYLOADS, square, workers=WORKERS,
-                                 policy=NO_RETRY)
-        assert not merged.ok
-        assert [f.reason for f in merged.shard_failures] == ["worker died"]
-        with pytest.raises(EngineError, match="worker died"):
-            merged.raise_on_failure()
-
 
 class TestPoisonQuarantine:
     def test_poison_task_quarantined_after_two_pool_deaths(self):
@@ -83,6 +85,20 @@ class TestPoisonQuarantine:
         # is the third.
         assert merged.worker_deaths == 3
         assert not merged.shard_failures
+
+    def test_poison_at_an_inner_index_spares_inline_jobs(self):
+        # Inside a worker, an inline job's task indices are not the
+        # outer job's: poison@task6 names no outer task, so no worker
+        # may die of it.
+        plan = parse_faults("poison@task6", seed=0)
+        with inject.plan_context(plan):
+            merged = run_sharded(list(range(4)), inner_squares,
+                                 workers=WORKERS)
+        assert merged.ok
+        assert merged.results == [[y * y for y in range(x, x + 8)]
+                                  for x in range(4)]
+        assert merged.worker_deaths == 0
+        assert merged.retries == 0
 
     def test_quarantine_emits_telemetry_instant(self):
         plan = parse_faults("poison@task4", seed=0)
@@ -147,11 +163,24 @@ class TestPipeFaults:
 class TestHangs:
     def test_task_hang_caught_by_task_timeout(self):
         plan = parse_faults("task_hang@shard0:30s", seed=0)
-        with inject.plan_context(plan), policy_context(task_timeout=0.5):
+        with inject.plan_context(plan), task_timeout_context(0.5):
             merged = run_sharded(PAYLOADS, square, workers=WORKERS)
         assert merged.ok
         assert merged.results == CLEAN
         assert merged.worker_deaths >= 1
+
+    def test_real_hang_is_contained_by_the_pinned_rerun(self):
+        # Payload 3 hangs in every worker that runs it, the pinned rerun
+        # included; the task timeout ends each of the three.
+        with task_timeout_context(1.0):
+            merged = run_sharded(PAYLOADS, hang_on_three, workers=WORKERS)
+        assert merged.results == [x * x if x != 3 else None
+                                  for x in PAYLOADS]
+        assert not merged.shard_failures
+        assert [f.index for f in merged.task_failures] == [3]
+        assert merged.task_failures[0].error.endswith("last: task hung")
+        assert merged.quarantined == [3]
+        assert merged.worker_deaths == 3
 
     def test_run_timeout_still_hard_stops(self):
         # The run-level deadline keeps its classic contract: no retries,
@@ -165,24 +194,18 @@ class TestHangs:
 
 
 class TestPolicy:
-    def test_policy_context_restores_default(self):
-        before = default_policy()
-        with policy_context(task_timeout=0.25, max_rounds=5) as p:
-            assert p.task_timeout == 0.25 and p.max_rounds == 5
-            assert default_policy() is p
-        assert default_policy() == before
-
-    def test_set_default_policy_roundtrip(self):
-        before = default_policy()
-        try:
-            set_default_policy(NO_RETRY)
-            assert default_policy() == NO_RETRY
-        finally:
-            set_default_policy(before)
-
-    def test_policy_is_frozen(self):
-        with pytest.raises(Exception):
-            ResilPolicy().max_rounds = 9
+    def test_task_timeout_context_sets_and_restores(self):
+        assert engine._task_timeout is None
+        with task_timeout_context(0.25):
+            assert engine._task_timeout == 0.25
+            with task_timeout_context(None):
+                assert engine._task_timeout is None
+            assert engine._task_timeout == 0.25
+        assert engine._task_timeout is None
+        with pytest.raises(RuntimeError):
+            with task_timeout_context(3.0):
+                raise RuntimeError("block failed")
+        assert engine._task_timeout is None
 
     def test_resil_summary_shape(self):
         plan = parse_faults("worker_crash@shard1", seed=0)

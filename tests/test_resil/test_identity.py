@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import Toolchain
 from repro.bench.tables import render_slowdown_table
-from repro.exec.engine import policy_context
+from repro.exec.engine import task_timeout_context
 from repro.resil import inject, parse_faults
 
 #: Single faults the engine must absorb without a trace in the output.
@@ -41,7 +41,7 @@ class TestBenchIdentity:
     def test_single_fault_bench_is_byte_identical(self, spec, tiny_workloads):
         reference = _bench_bytes(workers=2)
         plan = parse_faults(spec, seed=0)
-        with inject.plan_context(plan), policy_context(task_timeout=5.0):
+        with inject.plan_context(plan), task_timeout_context(5.0):
             faulted = _bench_bytes(workers=2)
         assert faulted == reference
 
@@ -60,6 +60,6 @@ class TestFuzzIdentity:
         tc = Toolchain(workers=2)
         reference = tc.fuzz(seed=0, iters=4, models=("ss10",)).report()
         plan = parse_faults(spec, seed=0)
-        with inject.plan_context(plan), policy_context(task_timeout=10.0):
+        with inject.plan_context(plan), task_timeout_context(10.0):
             faulted = tc.fuzz(seed=0, iters=4, models=("ss10",)).report()
         assert faulted == reference
