@@ -8,7 +8,8 @@ ever sees the text.
 
 Supported: object-like and function-like ``#define`` (no ``#``/``##``
 operators), ``#undef``, ``#ifdef``/``#ifndef``/``#else``/``#endif``,
-``#if`` with integer constant expressions over ``defined(...)``, and
+``#if`` with integer constant expressions over ``defined(...)``, evaluated
+with C's integer rules by the parser's constant evaluator, and
 ``#include "file"`` resolved against ``include_dirs``.
 """
 
@@ -17,7 +18,9 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import CFrontError
+from .errors import CFrontError, LexError, ParseError
+from .lexer import Token, tokenize
+from .parser import const_expression
 
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
@@ -160,13 +163,16 @@ class Preprocessor:
         text = re.sub(r"defined\s+(\w+)",
                       lambda m: "1" if m.group(1) in self.macros else "0", text)
         text = self._expand_line(text)
-        text = _IDENT_RE.sub("0", text)  # remaining identifiers are 0
-        text = text.replace("&&", " and ").replace("||", " or ").replace("!", " not ")
-        text = text.replace(" not =", " !=")  # undo damage to '!='
         try:
-            return int(eval(text, {"__builtins__": {}}, {}))  # noqa: S307 - sanitized arithmetic
-        except Exception as exc:
-            raise CppError(f"cannot evaluate #if condition {text!r}: {exc}") from exc
+            # As in C, the identifiers left after expansion (keywords
+            # included: cpp has none) are 0; character constants are not.
+            tokens = [Token("int", "0", 0, tok.pos)
+                      if tok.kind in ("ident", "keyword") else tok
+                      for tok in tokenize(text)]
+            return const_expression(text, tokens)
+        except (LexError, ParseError) as exc:
+            raise CppError(f"cannot evaluate #if condition {text!r}: "
+                           f"{exc.message}") from exc
 
     def _expand_line(self, line: str, depth: int = 0) -> str:
         if depth > 32:

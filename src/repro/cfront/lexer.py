@@ -207,5 +207,12 @@ def _number_token(text: str, pos: int, src: str) -> Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list ending in EOF."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a token list ending in EOF."""
+    from ..obs import runtime as obs_runtime
+    tracer = obs_runtime.get_tracer()
+    if not tracer.enabled:
+        return Lexer(source).tokenize()
+    with tracer.span("cfront.lex") as sp:
+        tokens = Lexer(source).tokenize()
+        sp.set(tokens=len(tokens), chars=len(source))
+    return tokens

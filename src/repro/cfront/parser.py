@@ -39,15 +39,21 @@ def _c_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-# Operators of constant expressions (enum values, array sizes), with C's
-# truncating ``/`` and ``%``.  The machine's operator table cannot be
-# used here: ``repro.machine`` imports the front end.
+# Operators of constant expressions (enum values, array sizes, ``#if``),
+# with C's truncating ``/`` and ``%``; ``&&``, ``||`` and ``?:``
+# short-circuit in ``Parser._const_int``.  The machine's operator table
+# cannot be used here: ``repro.machine`` imports the front end.
 _CONST_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _c_div, "%": lambda a, b: a - b * _c_div(a, b),
     "<<": operator.lshift, ">>": operator.rshift,
     "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b), ">=": lambda a, b: int(a >= b),
 }
+_CONST_UNARY = {"-": operator.neg, "+": operator.pos,
+                "!": lambda a: int(not a), "~": operator.invert}
 
 
 class _Scope:
@@ -85,9 +91,10 @@ class _Scope:
 
 
 class Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, tokens: list[Token] | None = None):
         self.source = source
-        self.tokens = tokenize(source)
+        # Tokens are frozen and never rewritten here, so parses may share them.
+        self.tokens = tokenize(source) if tokens is None else tokens
         self.i = 0
         self.scope = _Scope()
         self._pending_struct_def: Struct | None = None
@@ -303,7 +310,8 @@ class Parser:
         return INT
 
     def _const_int(self, expr: A.Expr) -> int:
-        """Evaluate a constant integer expression (array sizes, enum values)."""
+        """Evaluate a constant integer expression (array sizes, enum
+        values, ``#if``) with C's truncating ``/`` and ``%``."""
         if isinstance(expr, A.IntLit):
             return expr.value
         if isinstance(expr, A.CharLit):
@@ -312,8 +320,17 @@ class Parser:
             val = self.scope.lookup_enum(expr.name)
             if val is not None:
                 return val
-        if isinstance(expr, A.Unary) and expr.op == "-":
-            return -self._const_int(expr.operand)
+        if isinstance(expr, A.Unary) and expr.op in _CONST_UNARY:
+            return _CONST_UNARY[expr.op](self._const_int(expr.operand))
+        if isinstance(expr, A.Binary) and expr.op in ("&&", "||"):
+            # Short-circuit: the right operand counts only when it decides.
+            lhs = self._const_int(expr.left) != 0
+            if lhs == (expr.op == "||"):
+                return int(lhs)
+            return int(self._const_int(expr.right) != 0)
+        if isinstance(expr, A.Cond):
+            return self._const_int(expr.then if self._const_int(expr.cond)
+                                   else expr.otherwise)
         if isinstance(expr, A.Binary) and expr.op in _CONST_OPS:
             lhs, rhs = self._const_int(expr.left), self._const_int(expr.right)
             if rhs == 0 and expr.op in ("/", "%"):
@@ -748,16 +765,14 @@ class Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos, self.source)
 
 
-def parse(source: str) -> A.TranslationUnit:
-    """Parse a full translation unit."""
+def parse(source: str, tokens: list[Token] | None = None) -> A.TranslationUnit:
+    """Parse a full translation unit.  ``tokens``, when given, are
+    ``tokenize(source)``'s, so several parses of one text lex it once."""
     from ..obs import runtime as obs_runtime
     tracer = obs_runtime.get_tracer()
+    parser = Parser(source, tokens)
     if not tracer.enabled:
-        return Parser(source).parse()
-    # Lexing happens in Parser.__init__; time the two stages apart.
-    with tracer.span("cfront.lex") as sp:
-        parser = Parser(source)
-        sp.set(tokens=len(parser.tokens), chars=len(source))
+        return parser.parse()
     with tracer.span("cfront.parse", tokens=len(parser.tokens)) as sp:
         unit = parser.parse()
         sp.set(items=len(unit.items))
@@ -766,10 +781,21 @@ def parse(source: str) -> A.TranslationUnit:
 
 def parse_expression(source: str) -> A.Expr:
     """Parse a single expression (handy in tests and the REPL examples)."""
-    parser = Parser(source)
+    return _whole_expression(Parser(source))
+
+
+def const_expression(source: str, tokens: list[Token] | None = None) -> int:
+    """Evaluate a single integer constant expression with C's integer
+    rules (the preprocessor's ``#if``)."""
+    parser = Parser(source, tokens)
+    return parser._const_int(_whole_expression(parser))
+
+
+def _whole_expression(parser: Parser) -> A.Expr:
     expr = parser._expression()
     if parser.tok.kind != "eof":
-        raise ParseError("trailing input after expression", parser.tok.pos, source)
+        raise ParseError("trailing input after expression", parser.tok.pos,
+                         parser.source)
     return expr
 
 

@@ -143,19 +143,21 @@ def config_fingerprint(config) -> dict[str, Any] | None:
     }
 
 
-def front_key(source: str, config) -> str | None:
-    """The in-memory address of a compilation's model-independent front
-    half (see ``machine.driver.front_memo``): the source, every key
-    field of the config but the back half's (``model``, ``peephole``,
-    ``sink``), and the salt_context() tags.  None when the
-    configuration is not cacheable."""
+def front_key(source: str, config,
+              fields: tuple[str, ...] | None = None) -> str | None:
+    """The in-memory address of a compile stage's product (see
+    ``machine.driver.front_memo``): the source, the config key
+    ``fields`` the stage reads (default: every one but the back half's
+    ``model``, ``peephole`` and ``sink``, which is what the optimized IR
+    reads), and the salt_context() tags.  None when the configuration
+    is not cacheable."""
     fp = config_fingerprint(config)
     if fp is None:
         return None
-    for back in ("model", "peephole", "sink"):
-        del fp[back]
+    if fields is None:
+        fields = tuple(f for f in fp if f not in ("model", "peephole", "sink"))
     return _canonical_key({"extra": list(_extra_salt), "source": source,
-                           "config": fp})
+                           "config": {f: fp[f] for f in fields}})
 
 
 class _DiskCache:

@@ -178,9 +178,10 @@ def check_program(source: str, models: tuple[str, ...] = DEFAULT_MODELS,
     shards the (config, model, gc-mode) cells across processes via the
     execution engine; the report is identical for any worker count.
 
-    The cells share front halves for the duration of the call
-    (:func:`repro.machine.driver.front_memo`), so each config is parsed
-    and optimized once, not once per cell.
+    The cells share compile stages for the duration of the call
+    (:func:`repro.machine.driver.front_memo`): the program is lexed
+    once, parsed once per annotation mode, optimized once per config,
+    and register-allocated once per (config, register count, sink).
     """
     with front_memo():
         report = OracleReport()

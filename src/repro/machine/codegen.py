@@ -36,9 +36,8 @@ class CodegenError(Exception):
 
 
 class FuncCodegen:
-    def __init__(self, fn: IRFunc, model: MachineModel, alloc: Allocation):
+    def __init__(self, fn: IRFunc, alloc: Allocation):
         self.fn = fn
-        self.model = model
         self.alloc = alloc
         self.out: list[MInst] = []
         self.slot_offset: dict[str, int] = {}
@@ -319,9 +318,11 @@ class FuncCodegen:
 def generate_program(ir: IRProgram, model: MachineModel) -> MProgram:
     """Allocate registers and emit machine code for a whole program.
     Reads ``ir`` without changing it, so one (optimized) IR program can
-    be generated for several machine models."""
+    be generated for several machine models.  Register allocation is
+    the only reader of ``model``, through ``num_regs``: models with one
+    register count get the same code."""
     prog = MProgram(globals=dict(ir.globals))
     for fn in ir.functions.values():
         alloc = allocate(fn, model)
-        prog.functions[fn.name] = FuncCodegen(fn, model, alloc).generate()
+        prog.functions[fn.name] = FuncCodegen(fn, alloc).generate()
     return prog

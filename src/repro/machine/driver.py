@@ -21,15 +21,16 @@ implicates an optimizer pass.
 
 Run a compiled program with :func:`repro.machine.vm.run_program`.
 
-A compilation has two halves.  The *front half* (cpp, parse, typecheck,
+A compilation has two halves.  The *front half* (cpp, lex, parse, typecheck,
 annotate, lower, optimize) does not depend on the machine model; the
 *back half* (register allocation, code generation, then the peephole
-and sinking stages the config names) does, and reads the optimized IR
-without changing it.  Those stages run here only, so the compile cache
-covers them and callers only read compiled programs.  Inside
-:func:`front_memo`, ``compile_source`` computes each front half once
-and runs only the back
-half for the other calls with the same source and model-free config.
+and sinking stages the config names) does, through ``model.num_regs``
+alone, and reads the optimized IR without changing it.  Those stages
+run here only, so the compile cache covers them and callers only read
+compiled programs.  Inside :func:`front_memo`, ``compile_source``
+computes each stage once per distinct input: one lex per source, one
+parse per annotation mode, one front half per model-free config and
+one back half per register file and stage set.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from ..cfront.cpp import preprocess
+from ..cfront.lexer import Token, tokenize
 from ..cfront.parser import parse
 from ..cfront.typecheck import typecheck
 from ..exec import cache as exec_cache
@@ -153,65 +155,92 @@ def compile_cache_key(source: str, config: CompileConfig) -> str | None:
     return cache.key_for(source, config) if cache is not None else None
 
 
-# The front halves shared inside front_memo(), keyed by
-# exec_cache.front_key(); None outside any front_memo() block.
-_front_halves: ContextVar[dict | None] = ContextVar("front_halves",
-                                                   default=None)
+# Each compile stage's product shared inside front_memo(), keyed by what
+# the stage reads; None outside any front_memo() block.
+_stages: ContextVar[dict | None] = ContextVar("stages", default=None)
 
 
 @contextmanager
 def front_memo():
-    """Compute each front half once for the ``compile_source`` calls
-    made inside the block; the memo is dropped when the block exits.
+    """Compute each compile stage once per distinct input for the
+    ``compile_source`` calls made inside the block; the memo is dropped
+    when the block exits.
 
-    Every call still runs its own back half, postprocessing stages
-    included.  The key covers the source, every config field but
-    ``model``, ``peephole`` and ``sink``, and the active
-    :func:`repro.exec.cache.salt_context` tags, so a pass swapped in
-    under a salt is never served code compiled without it.
+    A stage's product is keyed by what the stage reads, and every key
+    holds the active :func:`repro.exec.cache.salt_context` tags, so a
+    pass swapped in under a salt is never served a product made
+    without it:
+
+    * cpp's text and its tokens: the source and ``run_cpp``;
+    * the typechecked unit of an unannotated config, under that key.
+      Lowering only reads it; an annotating config parses the shared
+      tokens into a unit of its own, which the annotator rewrites;
+    * the optimized IR: every config field but ``model``, ``peephole``
+      and ``sink`` (:func:`repro.exec.cache.front_key`);
+    * the back half: the IR's key, ``model.num_regs`` (register
+      allocation is the only reader of the model), ``peephole`` and
+      ``sink``.
+
+    Every call still returns its own :class:`CompiledProgram` with the
+    config it asked for; calls with one back half share its ``asm``,
+    which no caller rewrites.
     """
-    token = _front_halves.set({})
+    token = _stages.set({})
     try:
         yield
     finally:
-        _front_halves.reset(token)
+        _stages.reset(token)
 
 
 def _compile(source: str, config: CompileConfig) -> CompiledProgram:
-    memo = _front_halves.get()
+    memo = _stages.get()
     key = exec_cache.front_key(source, config) if memo is not None else None
-    front = memo.get(key) if key is not None else None
-    if front is None:
-        front = _front_half(source, config)
-        if key is not None:
-            memo[key] = front
-    ir, keep_lives = front
-    tracer = obs_runtime.get_tracer()
-    with tracer.span("compile.codegen", model=config.model.name) as sp:
-        asm = generate_program(ir, config.model)
-        sp.set(code_size=asm.code_size())
-    compiled = CompiledProgram(asm, ir, config, keep_lives)
-    if config.peephole:
-        with tracer.span("postproc.peephole") as sp:
-            compiled.peephole_stats = postprocess(asm)
-            sp.set(rewrites=compiled.peephole_stats.total)
-    if config.sink:
-        with tracer.span("postproc.sink") as sp:
-            compiled.sink_stats = sink_program(asm)
-            sp.set(sunk=compiled.sink_stats.sunk,
-                   eliminated=compiled.sink_stats.eliminated)
-    return compiled
+    if key is None:  # outside front_memo(), or not cacheable: no sharing
+        memo = text_key = None
+    else:
+        text_key = exec_cache.front_key(source, config, ("run_cpp",))
+    ir, keep_lives = _once(memo, ("ir", key), _front_half,
+                           source, config, memo, text_key)
+    back = ("back", key, config.model.num_regs, config.peephole, config.sink)
+    compiled = _once(memo, back, _back_half, ir, keep_lives, config)
+    return replace(compiled, config=config)
 
 
-def _front_half(source: str, config: CompileConfig) -> tuple[IRProgram, int]:
+def _once(memo: dict | None, key: tuple, stage, *args):
+    """``stage(*args)``, computed once per ``key`` in ``memo``, or
+    every time without a memo (so nothing outlives its compile)."""
+    if memo is None:
+        return stage(*args)
+    product = memo.get(key)
+    if product is None:
+        product = memo[key] = stage(*args)
+    return product
+
+
+def _lex(source: str, config: CompileConfig) -> tuple[str, list[Token]]:
+    """cpp and lex: the text the parser reads and its tokens."""
+    text = preprocess(source, config.include_dirs) if config.run_cpp else source
+    return text, tokenize(text)
+
+
+def _typechecked_unit(source: str, config: CompileConfig,
+                      memo: dict | None, text_key: str | None):
+    """A fresh unit parsed from the memo's tokens, and its symbols."""
+    text, tokens = _once(memo, ("tokens", text_key), _lex, source, config)
+    unit = parse(text, tokens)
+    return unit, typecheck(unit)
+
+
+def _front_half(source: str, config: CompileConfig, memo: dict | None,
+                text_key: str | None) -> tuple[IRProgram, int]:
     """cpp through optimize: the optimized IR and the KEEP_LIVE count."""
     tracer = obs_runtime.get_tracer()
-    if config.run_cpp:
-        source = preprocess(source, config.include_dirs)
-    unit = parse(source)
-    symbols = typecheck(unit)
     keep_lives = 0
-    if config.safe or config.checked:
+    if not (config.safe or config.checked):
+        unit, symbols = _once(memo, ("unit", text_key), _typechecked_unit,
+                              source, config, memo, text_key)
+    else:
+        unit, symbols = _typechecked_unit(source, config, memo, text_key)
         # Copy, never mutate: annotate_options is caller-owned.
         options = replace(config.annotate_options or AnnotateOptions(),
                           mode="checked" if config.checked else "safe")
@@ -233,3 +262,23 @@ def _front_half(source: str, config: CompileConfig) -> tuple[IRProgram, int]:
                 optimize(fn, config.passes)
     return ir, keep_lives
 
+
+def _back_half(ir: IRProgram, keep_lives: int,
+               config: CompileConfig) -> CompiledProgram:
+    """Register allocation and codegen, then the config's stages; reads
+    ``ir`` without changing it."""
+    tracer = obs_runtime.get_tracer()
+    with tracer.span("compile.codegen", model=config.model.name) as sp:
+        asm = generate_program(ir, config.model)
+        sp.set(code_size=asm.code_size())
+    compiled = CompiledProgram(asm, ir, config, keep_lives)
+    if config.peephole:
+        with tracer.span("postproc.peephole") as sp:
+            compiled.peephole_stats = postprocess(asm)
+            sp.set(rewrites=compiled.peephole_stats.total)
+    if config.sink:
+        with tracer.span("postproc.sink") as sp:
+            compiled.sink_stats = sink_program(asm)
+            sp.set(sunk=compiled.sink_stats.sunk,
+                   eliminated=compiled.sink_stats.eliminated)
+    return compiled

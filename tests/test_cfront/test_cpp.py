@@ -107,6 +107,45 @@ class TestConditionals:
             preprocess("#error nope")
 
 
+def branch(condition):
+    out = preprocess(f"#if {condition}\nthen\n#else\nelse\n#endif")
+    return clean(out)
+
+
+class TestIfArithmetic:
+    """``#if`` evaluates with C's integer rules: truncating ``/`` and
+    ``%``, C literals, comparisons that yield 0 or 1, comments as
+    whitespace, and only C's operators."""
+
+    @pytest.mark.parametrize("condition, taken", [
+        ("7/2 == 3", "then"),
+        ("-7 % 2 == -1", "then"),
+        ("0x10 == 16", "then"),
+        ("10u == 10", "then"),
+        ("010 == 8", "then"),
+        ("3 > 2 > 1", "else"),
+        ("1 ? 0 : 1", "else"),
+        ("'a' == 97", "then"),
+        ("!0 && ~0 == -1 && +2 == 2", "then"),
+        ("UNDEFINED == 0", "then"),
+        ("0 && 1 / 0", "else"),
+        ("1 || 1 / 0", "then"),
+        ("0 ? 1 / 0 : 2", "then"),
+        ("(1 < 2) << 3 == 8", "then"),
+        ("1 // a comment", "then"),
+        ("0 /* a comment */ || 1", "then"),
+    ])
+    def test_condition_takes_c_branch(self, condition, taken):
+        assert branch(condition) == taken
+
+    @pytest.mark.parametrize("condition", [
+        "2**3 == 8", "1 / 0", "1, 2", "X = 1", "sizeof(int) == 4", "", "1 )",
+    ])
+    def test_condition_outside_c_raises(self, condition):
+        with pytest.raises(CppError, match="cannot evaluate #if condition"):
+            preprocess(f"#if {condition}\nx\n#endif")
+
+
 class TestIncludes:
     def test_include_from_directory(self, tmp_path):
         (tmp_path / "defs.h").write_text("#define FROM_HEADER 42\n")

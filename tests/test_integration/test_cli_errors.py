@@ -10,6 +10,7 @@ from repro.obs.cli import main as obs_main
 # Placeholders name files the test writes: {bad} does not parse, {ff}
 # holds a byte that is not UTF-8 (the error must name it), {octal} has
 # an octal literal with a digit 8 (the error must give its place),
+# {ifpow} has an ``#if`` that is Python but not C (``2**3``),
 # {trunc} is a trace whose second line is cut off, {dir} is a directory
 # and {missing} does not exist.
 CASES = {
@@ -35,6 +36,7 @@ CASES = {
     "annotate-directory": (repro_main, ["annotate", "{dir}"]),
     "cc-undecodable": (repro_main, ["cc", "{ff}"]),
     "cc-octal-digit-8": (repro_main, ["cc", "{octal}"]),
+    "cc-if-not-c": (repro_main, ["cc", "{ifpow}"]),
     "bench-unknown-workload": (repro_main, ["bench", "--workloads", "nosuch"]),
     "serve-call-undecodable-file": (repro_main, ["serve", "call", "compile",
                                                  "--file", "{ff}"]),
@@ -55,11 +57,14 @@ def test_bad_input_is_an_error_not_a_traceback(name, tmp_path, capsys):
     (tmp_path / "bad.c").write_text("int main( {\n")
     (tmp_path / "ff.c").write_bytes(b"int main(void) { return 0; }\xff\n")
     (tmp_path / "octal.c").write_text("int main() { return 08; }\n")
+    (tmp_path / "ifpow.c").write_text(
+        "#if 2**3 == 8\nint main() { return 1; }\n#endif\n")
     (tmp_path / "trunc.jsonl").write_text(
         '{"kind": "meta"}\n{"kind": "span", "na\n')
     (tmp_path / "dir").mkdir()
     paths = {key: str(tmp_path / file) for key, file in (
         ("bad", "bad.c"), ("ff", "ff.c"), ("octal", "octal.c"),
+        ("ifpow", "ifpow.c"),
         ("trunc", "trunc.jsonl"), ("dir", "dir"), ("missing", "missing.c"))}
     assert exit_code(main, [arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -69,6 +74,8 @@ def test_bad_input_is_an_error_not_a_traceback(name, tmp_path, capsys):
         assert err.startswith(f"error: {paths['ff']}: ")
     if "{octal}" in argv:
         assert err.startswith("error: line 1, col ")
+    if "{ifpow}" in argv:
+        assert err.startswith("error: cannot evaluate #if condition ")
 
 
 def test_a_malformed_trace_is_named_with_its_line(tmp_path, capsys):
