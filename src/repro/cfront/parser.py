@@ -41,8 +41,11 @@ def _c_div(a: int, b: int) -> int:
 
 # Operators of constant expressions (enum values, array sizes, ``#if``),
 # with C's truncating ``/`` and ``%``; ``&&``, ``||`` and ``?:``
-# short-circuit in ``Parser._const_int``.  The machine's operator table
+# short-circuit in ``Parser._const_int``, and an unsigned int operand
+# makes the result wrap mod 2**32.  The machine's operator table
 # cannot be used here: ``repro.machine`` imports the front end.
+_UINT_MASK = 0xFFFFFFFF
+_ARITH_OPS = frozenset("+ - * / % & | ^".split())
 _CONST_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _c_div, "%": lambda a, b: a - b * _c_div(a, b),
@@ -311,17 +314,26 @@ class Parser:
 
     def _const_int(self, expr: A.Expr) -> int:
         """Evaluate a constant integer expression (array sizes, enum
-        values, ``#if``) with C's truncating ``/`` and ``%``."""
+        values, ``#if``) with C's truncating ``/`` and ``%``.  A value
+        of type unsigned int (:meth:`_const_unsigned`) is kept in
+        [0, 2**32), so an unsigned operand makes the result wrap."""
         if isinstance(expr, A.IntLit):
-            return expr.value
+            return self._wrap(expr, expr.value)
         if isinstance(expr, A.CharLit):
             return expr.value
         if isinstance(expr, A.Ident):
             val = self.scope.lookup_enum(expr.name)
             if val is not None:
                 return val
+        if isinstance(expr, A.Cast) and isinstance(expr.to_type, IntType):
+            bits = expr.to_type.size * 8
+            value = self._const_int(expr.operand) & ((1 << bits) - 1)
+            if expr.to_type.signed and value >> (bits - 1):
+                value -= 1 << bits
+            return value
         if isinstance(expr, A.Unary) and expr.op in _CONST_UNARY:
-            return _CONST_UNARY[expr.op](self._const_int(expr.operand))
+            return self._wrap(expr, _CONST_UNARY[expr.op](
+                self._const_int(expr.operand)))
         if isinstance(expr, A.Binary) and expr.op in ("&&", "||"):
             # Short-circuit: the right operand counts only when it decides.
             lhs = self._const_int(expr.left) != 0
@@ -329,22 +341,61 @@ class Parser:
                 return int(lhs)
             return int(self._const_int(expr.right) != 0)
         if isinstance(expr, A.Cond):
-            return self._const_int(expr.then if self._const_int(expr.cond)
-                                   else expr.otherwise)
+            return self._wrap(expr, self._const_int(
+                expr.then if self._const_int(expr.cond) else expr.otherwise))
         if isinstance(expr, A.Binary) and expr.op in _CONST_OPS:
             lhs, rhs = self._const_int(expr.left), self._const_int(expr.right)
+            if expr.op in ("<<", ">>"):
+                if rhs < 0:
+                    raise ParseError("negative shift count in constant "
+                                     "expression", expr.span.start,
+                                     self.source)
+                if rhs >= 32:
+                    raise ParseError("shift count too large in constant "
+                                     "expression", expr.span.start,
+                                     self.source)
+            elif (self._const_unsigned(expr.left)
+                    or self._const_unsigned(expr.right)):
+                # The usual arithmetic conversions: both become unsigned.
+                lhs, rhs = lhs & _UINT_MASK, rhs & _UINT_MASK
             if rhs == 0 and expr.op in ("/", "%"):
                 raise ParseError("division by zero in constant expression",
                                  expr.span.start, self.source)
-            if rhs < 0 and expr.op in ("<<", ">>"):
-                raise ParseError("negative shift count in constant expression",
-                                 expr.span.start, self.source)
-            return _CONST_OPS[expr.op](lhs, rhs)
+            return self._wrap(expr, _CONST_OPS[expr.op](lhs, rhs))
         if isinstance(expr, (A.SizeofType, A.SizeofExpr)):
             if isinstance(expr, A.SizeofType):
                 return expr.of_type.size
         raise ParseError("expected constant integer expression",
                          expr.span.start, self.source)
+
+    def _wrap(self, expr: A.Expr, value: int) -> int:
+        return value & _UINT_MASK if self._const_unsigned(expr) else value
+
+    def _const_unsigned(self, expr: A.Expr) -> bool:
+        """Whether the constant expression ``expr`` has type unsigned
+        int, by typecheck's rules: a literal with a ``u`` suffix or a
+        value above INT_MAX, a cast to unsigned int or long, ``sizeof``,
+        and what integer promotion and the usual arithmetic conversions
+        make of them."""
+        if isinstance(expr, A.IntLit):
+            return expr.unsigned or expr.value > 0x7FFFFFFF
+        if isinstance(expr, A.Cast):
+            to = expr.to_type
+            return (isinstance(to, IntType) and not to.signed
+                    and to.size >= INT.size)
+        if isinstance(expr, A.SizeofType):
+            return True
+        if isinstance(expr, A.Unary) and expr.op in ("+", "-", "~"):
+            return self._const_unsigned(expr.operand)
+        if isinstance(expr, A.Binary) and expr.op in ("<<", ">>"):
+            return self._const_unsigned(expr.left)
+        if isinstance(expr, A.Binary) and expr.op in _ARITH_OPS:
+            return (self._const_unsigned(expr.left)
+                    or self._const_unsigned(expr.right))
+        if isinstance(expr, A.Cond):
+            return (self._const_unsigned(expr.then)
+                    or self._const_unsigned(expr.otherwise))
+        return False
 
     # -- declarators --------------------------------------------------------
 

@@ -68,7 +68,8 @@ from .exec.cli import add_cache_parser, resolve_cache_dir
 from .machine.driver import compile_source
 from .machine.models import MODELS
 from .cliutil import (add_cache_flags, add_obs_flags, add_report_flags,
-                      obs_session, read_text, run_main, usage_error)
+                      cache_session, obs_session, read_text, run_main,
+                      usage_error)
 from .resil.cli import add_chaos_parser
 from .serve.cli import add_serve_parser
 
@@ -237,26 +238,14 @@ def main(argv: list[str] | None = None) -> int:
     cache_dir = (resolve_cache_dir(getattr(args, "cache_dir", None))
                  if args.command not in ("cache", "chaos", "serve")
                  else None)
-    caches = ()
-    if cache_dir:
-        caches = exec_cache.open_caches(cache_dir)
-        for cache in caches:
-            exec_cache.install_cache(cache)
+    caches = exec_cache.open_caches(cache_dir) if cache_dir else ()
 
     def command() -> int:
         with obs_session(trace_file, profile_on, metrics_out):
             return args.fn(args)
 
-    try:
+    with cache_session(caches):
         return run_main(command)
-    finally:
-        for cache in caches:
-            s = cache.stats
-            print(f"! cache[{cache.kind}]: {s.hits} hits, {s.misses} misses, "
-                  f"{s.stores} stores, {s.corrupt_evicted} evicted",
-                  file=sys.stderr)
-        if caches:
-            exec_cache.uninstall_cache()
 
 
 if __name__ == "__main__":

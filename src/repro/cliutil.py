@@ -15,7 +15,8 @@ Every report-emitting subcommand carries the same flag trio:
 here too, so ``repro``, ``repro.fuzz``, ``repro serve`` and ``repro
 chaos`` all share one spelling and :class:`repro.api.Client` callers
 see the same serialization the CLIs print.  :func:`obs_session` is the
-one runtime behind ``--trace`` / ``--profile`` / ``--metrics-out``.
+one runtime behind ``--trace`` / ``--profile`` / ``--metrics-out``,
+and :func:`cache_session` the one behind ``--cache-dir``.
 
 :func:`run_main` is the one top-level error handler of ``repro``,
 ``repro.obs`` and ``repro.fuzz``, :func:`usage_error` their one way to
@@ -29,9 +30,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .cfront.errors import CFrontError
+from .exec import cache as exec_cache
 from .machine.vm import VMError
 from .obs import runtime as obs_runtime
 
@@ -114,10 +116,11 @@ def obs_session(trace: str | None, profile: bool,
     """Telemetry around one CLI run.
 
     ``trace`` records a JSONL trace; a metrics registry runs alongside
-    it and its snapshot is embedded as an ``obs.metrics`` instant, so
-    ``repro obs report`` gets its percentile section from the trace
-    alone.  ``profile`` prints the VM hot-spot report to stderr;
-    ``metrics_out`` writes the registry's snapshot.
+    it and its snapshot is embedded as an ``obs.metrics`` instant, and
+    the installed cache tiers' stats as one ``cache.stats`` instant, so
+    ``repro obs report`` gets its percentile and ``resil`` sections
+    from the trace alone.  ``profile`` prints the VM hot-spot report to
+    stderr; ``metrics_out`` writes the registry's snapshot.
     """
     if trace:
         obs_runtime.enable_tracing()
@@ -133,6 +136,9 @@ def obs_session(trace: str | None, profile: bool,
             tracer = obs_runtime.get_tracer()
             if metrics is not None:
                 tracer.instant("obs.metrics", metrics=metrics.to_dict())
+            tiers = exec_cache.tier_stats()
+            if tiers:
+                tracer.instant("cache.stats", **tiers)
             tracer.write_jsonl(trace)
             print(f"! trace written to {trace}", file=sys.stderr)
         session_profile = obs_runtime.session_profile()
@@ -147,5 +153,21 @@ def obs_session(trace: str | None, profile: bool,
             obs_runtime.reset()
 
 
+@contextlib.contextmanager
+def cache_session(caches: Sequence[exec_cache._DiskCache]) -> Iterator[None]:
+    """Install ``caches`` for one CLI run, restoring the tiers installed
+    before it, and print each tier's counts to stderr when it ends."""
+    with exec_cache.cache_context(*caches):
+        try:
+            yield
+        finally:
+            for cache in caches:
+                s = cache.stats
+                print(f"! cache[{cache.kind}]: {s.hits} hits, "
+                      f"{s.misses} misses, {s.stores} stores, "
+                      f"{s.corrupt_evicted} evicted", file=sys.stderr)
+
+
 __all__ = ["add_report_flags", "add_obs_flags", "add_cache_flags",
-           "obs_session", "read_text", "run_main", "usage_error"]
+           "cache_session", "obs_session", "read_text", "run_main",
+           "usage_error"]

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from ..cfront import cast as A
 from ..cfront.ctypes import CType, INT, Pointer, VOID, VOID_PTR
 from ..cfront.errors import SourceSpan
+from ..cfront.symbols import SymbolTable
 from ..cfront.typecheck import typecheck
 from .base import base_of, baseaddr_of, is_generating, is_plain_copy
 from .simplify import simplify_unit
@@ -78,6 +79,9 @@ class Replacement:
 class AnnotationResult:
     unit: A.TranslationUnit
     stats: AnnotateStats
+    #: the annotated unit's symbols, from the typecheck that types the
+    #: nodes annotation added
+    symbols: SymbolTable
     replacements: list[Replacement] = field(default_factory=list)
     temp_decls: dict[str, list[tuple[str, CType]]] = field(default_factory=dict)
 
@@ -112,8 +116,9 @@ class Annotator:
         if self.options.mode == CHECKED or self.options.check_base_stores:
             self._inject_builtin_decls()
         simplify_unit(self.unit)  # fold the *&e detours that stayed bare
-        typecheck(self.unit)  # re-type new nodes (KeepLive, temps, calls)
-        return AnnotationResult(self.unit, self.stats, self.replacements, self.temp_decls)
+        symbols = typecheck(self.unit)  # type new nodes (KeepLive, temps, calls)
+        return AnnotationResult(self.unit, self.stats, symbols,
+                                self.replacements, self.temp_decls)
 
     # -- per function ---------------------------------------------------------
 

@@ -17,7 +17,7 @@ asserts that equivalence end to end.
 
 from .cache import (  # noqa: F401
     CacheStats, CompileCache, ResultCache, active_cache, cache_context,
-    install_cache, salt_context, uninstall_cache,
+    salt_context,
 )
 from .engine import (  # noqa: F401
     EngineError, MergedRun, ShardFailure, ShardPlan, TaskFailure,

@@ -37,10 +37,13 @@ recompiles.  Writes are atomic (``os.replace`` of a same-directory temp
 file), so concurrent workers racing on one key at worst both store the
 same bytes.
 
-Hit/miss/eviction counters live on :attr:`_DiskCache.stats`, are merged
-across engine workers, surface as ``cache.hit`` / ``cache.miss`` /
-``cache.evict`` instants on the active tracer, and drive the
-``repro cache stats|clear|verify`` CLI.
+A tier's :class:`CacheStats` (:attr:`_DiskCache.stats`) is the one
+book of its outcomes: engine workers ship theirs home to be merged, a
+closing trace embeds them as one ``cache.stats`` snapshot, and they
+drive the ``repro cache stats|clear|verify`` CLI.  Evictions, write
+errors and breaker trips also mark the trace timeline as
+``cache.evict`` / ``cache.write_error`` / ``cache.breaker_trip``
+instants, which nothing sums.
 
 Resilience: the cache is an accelerator, never a dependency.  A write
 failing with ``OSError`` (ENOSPC and friends) is counted and skipped,
@@ -187,39 +190,25 @@ class _DiskCache:
 
     def get(self, key: str) -> Any | None:
         """Load + verify one entry; corrupt entries are evicted."""
-        if self._breaker_open:
+        value = None if self._breaker_open else self._read(key)
+        if value is None:
             self.stats.misses += 1
-            self._count_metric("cache.misses")
-            return None
+        else:
+            self.stats.hits += 1
+            self._corrupt_streak = 0
+        return value
+
+    def _read(self, key: str) -> Any | None:
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError:
-            self.stats.misses += 1
-            self._instant("cache.miss", key)
-            self._count_metric("cache.misses")
             return None
-        blob = resil_inject.filter_cache_read(self.kind, blob)
-        payload = self._verified_payload(blob)
-        if payload is None:
+        value = self._decode(resil_inject.filter_cache_read(self.kind, blob))
+        if value is None:
             self._evict(path, key)
-            self.stats.misses += 1
             self._note_corrupt()
-            self._count_metric("cache.misses")
-            return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:
-            self._evict(path, key)
-            self.stats.misses += 1
-            self._note_corrupt()
-            self._count_metric("cache.misses")
-            return None
-        self.stats.hits += 1
-        self._corrupt_streak = 0
-        self._instant("cache.hit", key)
-        self._count_metric("cache.hits")
         return value
 
     def put(self, key: str, value: Any) -> None:
@@ -242,14 +231,12 @@ class _DiskCache:
             # the cache is an accelerator, not a dependency.
             self._cleanup_tmp(tmp)
             self.stats.write_errors += 1
-            self._instant("cache.write_error", key)
-            self._count_metric("cache.write_errors")
+            self._instant("cache.write_error", key=key[:16])
             return
         except BaseException:
             self._cleanup_tmp(tmp)
             raise
         self.stats.stores += 1
-        self._count_metric("cache.stores")
 
     @staticmethod
     def _cleanup_tmp(tmp: str | None) -> None:
@@ -267,16 +254,11 @@ class _DiskCache:
 
     def _note_corrupt(self) -> None:
         self._corrupt_streak += 1
-        self._count_metric("cache.corrupt_reads")
         if (not self._breaker_open
                 and self._corrupt_streak >= self.breaker_threshold):
             self._breaker_open = True
             self.stats.breaker_trips += 1
-            self._count_metric("cache.breaker_trips")
-            tracer = obs_runtime.get_tracer()
-            if tracer.enabled:
-                tracer.instant("cache.breaker_trip", kind=self.kind,
-                               streak=self._corrupt_streak)
+            self._instant("cache.breaker_trip", streak=self._corrupt_streak)
             print(f"! cache[{self.kind}]: circuit breaker open after "
                   f"{self._corrupt_streak} consecutive corrupt reads; "
                   f"bypassing this tier for the rest of the run",
@@ -287,7 +269,9 @@ class _DiskCache:
         self._breaker_open = False
 
     @staticmethod
-    def _verified_payload(blob: bytes) -> bytes | None:
+    def _decode(blob: bytes) -> Any | None:
+        """The value an entry's bytes hold; None if they fail the
+        checksum or do not unpickle."""
         if len(blob) < len(_MAGIC) + _DIGEST_LEN:
             return None
         if blob[:len(_MAGIC)] != _MAGIC:
@@ -296,7 +280,10 @@ class _DiskCache:
         payload = blob[len(_MAGIC) + _DIGEST_LEN:]
         if hashlib.sha256(payload).digest() != digest:
             return None
-        return payload
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return None
 
     def _evict(self, path: str, key: str) -> None:
         try:
@@ -304,23 +291,13 @@ class _DiskCache:
         except OSError:
             pass
         self.stats.corrupt_evicted += 1
-        self._instant("cache.evict", key)
-        self._count_metric("cache.evictions")
+        self._instant("cache.evict", key=key[:16])
 
-    def _instant(self, name: str, key: str) -> None:
+    def _instant(self, name: str, **args) -> None:
+        """Mark a fault on the trace timeline (counted in ``stats``)."""
         tracer = obs_runtime.get_tracer()
         if tracer.enabled:
-            tracer.instant(name, kind=self.kind, key=key[:16])
-
-    def _count_metric(self, name: str) -> None:
-        """Bump the per-tier counter on the active metrics registry.
-
-        Cache outcomes are pure functions of disk content, so absent
-        injected faults the counters are deterministic (det=True) and
-        merge exactly across engine shards."""
-        metrics = obs_runtime.get_metrics()
-        if metrics is not None:
-            metrics.counter(name, tier=self.kind).inc()
+            tracer.instant(name, kind=self.kind, **args)
 
     # -- maintenance -------------------------------------------------------
 
@@ -363,18 +340,11 @@ class _DiskCache:
                     blob = fh.read()
             except OSError:
                 continue
-            payload = self._verified_payload(blob)
-            good = payload is not None
-            if good:
-                try:
-                    pickle.loads(payload)
-                except Exception:
-                    good = False
-            if good:
-                ok += 1
-            else:
+            if self._decode(blob) is None:
                 self._evict(path, os.path.basename(path)[:-4])
                 evicted += 1
+            else:
+                ok += 1
         return {"checked": checked, "ok": ok, "evicted": evicted}
 
 
@@ -423,18 +393,6 @@ class ResultCache(_DiskCache):
 _active: dict[str, _DiskCache] = {}
 
 
-def install_cache(cache: _DiskCache) -> _DiskCache:
-    _active[cache.kind] = cache
-    return cache
-
-
-def uninstall_cache(kind: str | None = None) -> None:
-    if kind is None:
-        _active.clear()
-    else:
-        _active.pop(kind, None)
-
-
 def active_cache(kind: str = "compile") -> _DiskCache | None:
     return _active.get(kind)
 
@@ -443,8 +401,9 @@ def active_caches() -> list[_DiskCache]:
     return list(_active.values())
 
 
-def active_caches_by_kind() -> dict[str, _DiskCache]:
-    return dict(_active)
+def tier_stats() -> dict[str, dict[str, int]]:
+    """The installed tiers' :class:`CacheStats`, by kind."""
+    return {kind: cache.stats.to_dict() for kind, cache in _active.items()}
 
 
 @contextmanager
@@ -453,7 +412,7 @@ def cache_context(*caches: _DiskCache):
     previous = dict(_active)
     try:
         for cache in caches:
-            install_cache(cache)
+            _active[cache.kind] = cache
         yield caches[0] if len(caches) == 1 else caches
     finally:
         _active.clear()

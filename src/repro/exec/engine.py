@@ -52,11 +52,13 @@ single ``is None`` check.
 Telemetry: when the parent's ``repro.obs`` tracer is enabled, each
 worker records into a fresh tracer and ships its events home in its
 final message; the parent absorbs them as shard-tagged events in one
-``repro-obs-trace/1`` stream, and recovery actions surface as
-``resil.*`` instants (worker_lost, retry, quarantine, degraded).
-Cache hit/miss counters from the worker's process-local
-:mod:`repro.exec.cache` stats are merged into the parent's the same
-way.
+``repro-obs-trace/1`` stream.  The worker's :mod:`repro.exec.cache`
+stats and metrics registry come home and merge the same way.
+:class:`MergedRun` is the one book of recovery: a forked run counts
+its retries, worker deaths, quarantines, dropped messages, degradation
+and rounds there, then adds the totals to the metrics registry once,
+as ``exec.*`` counters.  ``resil.*`` instants (worker_lost, retry,
+quarantine, dropped_messages, degraded) only mark the trace timeline.
 """
 
 from __future__ import annotations
@@ -155,6 +157,7 @@ class MergedRun:
     retries: int = 0          # task executions beyond the first round
     worker_deaths: int = 0    # workers lost to death/hang/pipe rot
     quarantined: list[int] = field(default_factory=list)
+    dropped_messages: int = 0  # results lost in a completed worker's pipe
     degraded: bool = False    # serial fallback had to finish the job
     rounds: int = 1           # pool rounds actually run
 
@@ -179,6 +182,7 @@ class MergedRun:
         return {"retries": self.retries,
                 "worker_deaths": self.worker_deaths,
                 "quarantined": list(self.quarantined),
+                "dropped_messages": self.dropped_messages,
                 "degraded": self.degraded,
                 "rounds": self.rounds}
 
@@ -274,9 +278,7 @@ def _worker_main(tasks: list[Task], fn: Callable[[Any], Any],
     _run_tasks(tasks, fn, send, shard, seams=True)
     events = ([e.to_json() for e in obs_runtime.get_tracer().sorted_events()]
               if tracing else [])
-    stats = {kind: cache.stats.to_dict()
-             for kind, cache in cache_mod.active_caches_by_kind().items()}
-    send(("done", events, stats,
+    send(("done", events, cache_mod.tier_stats(),
           metrics.to_dict() if metrics is not None else {}))
     conn.close()
 
@@ -307,12 +309,13 @@ def run_sharded(payloads: Sequence[Any], fn: Callable[[Any], Any],
         if inline:
             return _run_inline(plan.shards[0], fn)
         merged = _run_resilient(plan, fn, timeout)
+        totals = {name: len(value) if isinstance(value, list) else int(value)
+                  for name, value in merged.resil_summary().items()}
+        if metrics is not None:
+            for name, total in totals.items():
+                metrics.counter(f"exec.{name}", det=False).inc(total)
         sp.set(task_failures=len(merged.task_failures),
-               shard_failures=len(merged.shard_failures),
-               retries=merged.retries,
-               worker_deaths=merged.worker_deaths,
-               quarantined=len(merged.quarantined),
-               degraded=merged.degraded)
+               shard_failures=len(merged.shard_failures), **totals)
     return merged
 
 
@@ -453,12 +456,9 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                    timeout: float | None) -> MergedRun:
     tracer = obs_runtime.get_tracer()
     metrics = obs_runtime.get_metrics()
-
-    def count(name: str, n: int = 1) -> None:
-        if metrics is not None and n:
-            metrics.counter(name, det=False).inc(n)
-
     deadline = None if timeout is None else time.monotonic() + timeout
+    merged = MergedRun(results=[None] * plan.total, workers=plan.workers,
+                       rounds=0)
 
     home_shard = {t.index: s for s, shard in enumerate(plan.shards)
                   for t in shard}
@@ -470,9 +470,7 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
     death_counts: dict[int, int] = {}
     quarantine: dict[int, Task] = {}
     all_states: list[_ShardState] = []
-    retries = worker_deaths = 0
     timed_out = False
-    rounds = 0
 
     for attempt in range(MAX_ROUNDS + 1):
         if not pending or timed_out:
@@ -493,11 +491,9 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                     slot_task.index = todo[slot_task.index].index
             round_shards = [(s, tasks)
                             for s, tasks in enumerate(replan.shards) if tasks]
-            retries += len(todo)
+            merged.retries += len(todo)
             tracer.instant("resil.retry", attempt=attempt, tasks=len(todo))
-            count("exec.retries", len(todo))
-        rounds += 1
-        count("exec.rounds")
+        merged.rounds += 1
         states, timed_out = _run_pool_once(round_shards, fn, attempt,
                                            deadline)
         all_states.extend(states)
@@ -513,8 +509,7 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                     del pending[idx]
             missing = [i for i in st.missing() if i in pending]
             if st.death_reason in _DEAD_REASONS:
-                worker_deaths += 1
-                count("exec.worker_deaths")
+                merged.worker_deaths += 1
                 culprit = missing[0] if missing else None
                 tracer.instant("resil.worker_lost", shard=st.shard,
                                attempt=attempt, reason=st.death_reason,
@@ -526,7 +521,6 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                 if (culprit is not None
                         and death_counts[culprit] >= MAX_TASK_DEATHS):
                     quarantine[culprit] = pending.pop(culprit)
-                    count("exec.quarantined")
                     tracer.instant("resil.quarantine", index=culprit,
                                    deaths=death_counts[culprit])
             elif st.death_reason == "timed out":
@@ -535,15 +529,11 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
             elif missing:
                 # Completed worker with holes: messages were dropped in
                 # the pipe.  Retry them — no death to attribute.
+                merged.dropped_messages += len(missing)
                 tracer.instant("resil.dropped_messages", shard=st.shard,
                                attempt=attempt, count=len(missing))
-                count("exec.dropped_messages", len(missing))
                 for idx in missing:
                     lost_reason[idx] = "message dropped"
-
-    merged = MergedRun(results=[None] * plan.total, workers=plan.workers,
-                       retries=retries, worker_deaths=worker_deaths,
-                       rounds=rounds)
 
     def run_pinned(task: Task, context: str) -> None:
         (st,), _ = _run_pool_once([(-1, [task])], fn, -1, None)
@@ -578,7 +568,6 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
             merged.quarantined.append(idx)
         if pending:
             merged.degraded = True
-            count("exec.degraded")
             tracer.instant("resil.degraded", tasks=len(pending))
             for idx in sorted(pending):
                 run_pinned(pending.pop(idx), "serial fallback")

@@ -26,7 +26,8 @@ import sys
 
 from ..api import Toolchain
 from ..api.build import dumps_canonical, fuzz_envelope
-from ..cliutil import add_report_flags, obs_session, read_text, run_main
+from ..cliutil import (add_report_flags, cache_session, obs_session,
+                       read_text, run_main)
 from ..exec import cache as exec_cache
 from ..exec.cli import resolve_cache_dir
 from ..machine.models import MODELS
@@ -134,12 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if result.ok else 1
 
     cache_dir = resolve_cache_dir(args.cache_dir)
-    caches = ()
-    if cache_dir:
-        caches = (exec_cache.CompileCache(
-            os.path.join(cache_dir, "compile")),)
-        for cache in caches:
-            exec_cache.install_cache(cache)
+    caches = ((exec_cache.CompileCache(os.path.join(cache_dir, "compile")),)
+              if cache_dir else ())
 
     def command() -> int:
         with obs_session(args.trace, args.profile, args.metrics_out):
@@ -151,15 +148,8 @@ def main(argv: list[str] | None = None) -> int:
                     return execute()
             return execute()
 
-    try:
+    with cache_session(caches):
         return run_main(command)
-    finally:
-        for cache in caches:
-            s = cache.stats
-            print(f"! cache[{cache.kind}]: {s.hits} hits, {s.misses} misses, "
-                  f"{s.stores} stores", file=sys.stderr)
-        if caches:
-            exec_cache.uninstall_cache()
 
 
 if __name__ == "__main__":

@@ -240,7 +240,7 @@ def _front_half(source: str, config: CompileConfig, memo: dict | None,
         unit, symbols = _once(memo, ("unit", text_key), _typechecked_unit,
                               source, config, memo, text_key)
     else:
-        unit, symbols = _typechecked_unit(source, config, memo, text_key)
+        unit, _ = _typechecked_unit(source, config, memo, text_key)
         # Copy, never mutate: annotate_options is caller-owned.
         options = replace(config.annotate_options or AnnotateOptions(),
                           mode="checked" if config.checked else "safe")
@@ -250,7 +250,7 @@ def _front_half(source: str, config: CompileConfig, memo: dict | None,
             sp.set(keep_lives=keep_lives,
                    temps_introduced=result.stats.temps_introduced,
                    heuristic_replacements=result.stats.heuristic_replacements)
-        symbols = typecheck(unit)
+        symbols = result.symbols
     with tracer.span("compile.lower", debug=not config.optimize) as sp:
         ir = lower_unit(unit, symbols, debug=not config.optimize,
                         naive_keep_live=config.naive_keep_live)

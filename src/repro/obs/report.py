@@ -55,7 +55,9 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
     ``obs.metrics`` instant embedded in the trace, adds a ``metrics``
     section and drives the ``percentiles`` section.  Every trace writer
     (``repro obs record``, ``--trace`` on ``repro`` and ``repro.fuzz``)
-    embeds one.
+    embeds one.  The ``resil`` section comes from that snapshot and the
+    ``cache.stats`` snapshot of the installed cache tiers
+    (:func:`resil_counts`); no count is taken from instants.
     """
     evs = [_as_dict(e) for e in events]
     metrics_payload: dict[str, Any] | None = None
@@ -72,13 +74,7 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
     vm = {"runs": 0, "wall_ns": 0, "cycles": 0, "instructions": 0,
           "collections": 0, "checks": 0}
     gc_stats: dict[str, Any] = {}
-    # Per-tier compile/result cache counters (cache.* instants).
-    cache: dict[str, dict[str, int]] = {}
-    # Engine recovery counters (resil.* + cache breaker instants).
-    resil = {"retries": 0, "worker_deaths": 0, "quarantined": 0,
-             "dropped_messages": 0, "degraded": False,
-             "breaker_trips": 0, "cache_write_errors": 0}
-    resil_seen = False
+    tiers: dict[str, dict[str, int]] = {}
 
     for e in evs:
         kind, name = e.get("kind"), e.get("name", "")
@@ -135,32 +131,8 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
         elif kind == "instant" and name == "obs.metrics":
             # A metrics snapshot embedded in the trace (repro obs record).
             metrics_payload = args.get("metrics") or metrics_payload
-        elif kind == "instant" and name in ("cache.hit", "cache.miss",
-                                            "cache.evict"):
-            tier = cache.setdefault(
-                args.get("kind", "compile"),
-                {"hits": 0, "misses": 0, "evictions": 0})
-            field = {"cache.hit": "hits", "cache.miss": "misses",
-                     "cache.evict": "evictions"}[name]
-            tier[field] += 1
-        elif kind == "instant" and name.startswith("resil."):
-            resil_seen = True
-            if name == "resil.retry":
-                resil["retries"] += args.get("tasks", 1)
-            elif name == "resil.worker_lost":
-                resil["worker_deaths"] += 1
-            elif name == "resil.quarantine":
-                resil["quarantined"] += 1
-            elif name == "resil.dropped_messages":
-                resil["dropped_messages"] += args.get("count", 1)
-            elif name == "resil.degraded":
-                resil["degraded"] = True
-        elif kind == "instant" and name == "cache.breaker_trip":
-            resil_seen = True
-            resil["breaker_trips"] += 1
-        elif kind == "instant" and name == "cache.write_error":
-            resil_seen = True
-            resil["cache_write_errors"] += 1
+        elif kind == "instant" and name == "cache.stats":
+            tiers = dict(args)
 
     avg = gc["pause_ns_total"] // gc["collections"] if gc["collections"] else 0
     gc["pause_ns_avg"] = avg
@@ -192,13 +164,34 @@ def summarize(events: Iterable[TraceEvent | dict[str, Any]],
         summary["percentiles"] = percentiles
     if metrics_payload:
         summary["metrics"] = metrics_payload
-    if cache:
-        summary["cache"] = cache
-    if resil_seen:
+    resil = resil_counts(reg, tiers)
+    if resil:
         summary["resil"] = resil
     if profile is not None:
         summary["profile"] = profile.to_dict(top=top)
     return summary
+
+
+def resil_counts(metrics: MetricsRegistry,
+                 tiers: dict[str, dict[str, int]]) -> dict[str, Any]:
+    """The ``resil`` section: the engine's recovery totals (``exec.*``
+    counters, which each forked run adds from its ``MergedRun``) and
+    the cache tiers' breaker trips and write errors (their
+    ``CacheStats`` dicts, by kind).  Empty when nothing fired."""
+    def total(name: str) -> int:
+        counter = metrics.get(f"exec.{name}")
+        return counter.value if counter is not None else 0
+
+    resil = {"retries": total("retries"),
+             "worker_deaths": total("worker_deaths"),
+             "quarantined": total("quarantined"),
+             "dropped_messages": total("dropped_messages"),
+             "degraded": bool(total("degraded")),
+             "breaker_trips": sum(t.get("breaker_trips", 0)
+                                  for t in tiers.values()),
+             "cache_write_errors": sum(t.get("write_errors", 0)
+                                       for t in tiers.values())}
+    return resil if any(resil.values()) else {}
 
 
 # -- text rendering ----------------------------------------------------------

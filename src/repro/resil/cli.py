@@ -8,16 +8,18 @@ Two phases over one throwaway cache root:
 
 1. **Reference**: the bench slowdown table and/or a fuzz campaign run
    fault-free (this also warms the content-addressed caches).
-2. **Faulted**: the same matrix under the seeded fault plan, with
-   tracing on so every recovery action is counted.
+2. **Faulted**: the same matrix under the seeded fault plan, with a
+   metrics registry on so every forked run adds its recovery totals.
 
 The gate is byte-identity: workers may die, pipes may rot, cache reads
 may corrupt — the merged reports must not change by a single byte,
 because every task is a pure function of its payload and the engine
 merges in canonical order.  Exit 0 iff every suite is identical (and
 the faulted run completed); the recovery counters (retries, worker
-deaths, quarantines, breaker trips, degraded flag) are printed from
-the obs summary, or emitted in a ``repro-chaos/1`` JSON envelope.
+deaths, quarantines, breaker trips, degraded flag) come from the
+faulted phase's registry and cache tiers' stats
+(:func:`repro.obs.report.resil_counts`) and are printed, or emitted in
+a ``repro-chaos/1`` JSON envelope.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..cliutil import add_report_flags
 from ..exec import cache as exec_cache
 from ..exec import engine
 from ..obs import runtime as obs_runtime
-from ..obs.report import summarize
+from ..obs.report import resil_counts
 from . import inject
 from .plan import FaultSpecError, parse_faults
 
@@ -86,12 +88,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with exec_cache.cache_context(*exec_cache.open_caches(root)):
             reference = {name: _SUITES[name](args) for name in suites}
 
-        obs_runtime.enable_tracing()
         metrics_out = getattr(args, "metrics_out", None)
-        obs_runtime.enable_metrics(out=metrics_out)
+        metrics = obs_runtime.enable_metrics(out=metrics_out)
         faulted: dict[str, str] = {}
         error: str | None = None
-        metrics_snapshot: dict = {}
         try:
             with inject.plan_context(plan), \
                  exec_cache.cache_context(*exec_cache.open_caches(root)), \
@@ -102,24 +102,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     except Exception as exc:  # resilience failed outright
                         error = f"{name}: {type(exc).__name__}: {exc}"
                         break
-                cache_stats = {
-                    kind: cache.stats.to_dict() for kind, cache
-                    in exec_cache.active_caches_by_kind().items()}
-            events = [e.to_json()
-                      for e in obs_runtime.get_tracer().sorted_events()]
-            metrics = obs_runtime.get_metrics()
-            if metrics is not None:
-                metrics.flush()
-                metrics_snapshot = metrics.to_dict()
+                cache_stats = exec_cache.tier_stats()
+            metrics.flush()
         finally:
             obs_runtime.reset()
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    summary = summarize(events)
-    report["resil"] = summary.get("resil", {})
+    report["resil"] = resil_counts(metrics, cache_stats)
     report["cache"] = cache_stats
-    report["metrics"] = metrics_snapshot
+    report["metrics"] = metrics.to_dict()
     if metrics_out:
         print(f"! metrics written to {metrics_out}", file=sys.stderr)
     if error is not None:

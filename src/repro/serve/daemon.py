@@ -109,7 +109,6 @@ class Daemon:
         self._job_ready: asyncio.Event | None = None
         self._stopping: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._caches: tuple = ()
         self._writers: set[asyncio.StreamWriter] = set()
 
     # -- metrics shorthands ----------------------------------------------
@@ -131,30 +130,26 @@ class Daemon:
         self._loop = asyncio.get_running_loop()
         self._job_ready = asyncio.Event()
         self._stopping = asyncio.Event()
-        if self.config.cache_dir:
-            self._caches = exec_cache.open_caches(self.config.cache_dir)
-            for cache in self._caches:
-                exec_cache.install_cache(cache)
-        server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = server.sockets[0].getsockname()[1]
-        scheduler = asyncio.ensure_future(self._scheduler())
-        if ready is not None:
-            ready.set()
-        try:
-            await self._stopping.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            self._job_ready.set()        # wake the scheduler to drain
-            await scheduler
-            for writer in list(self._writers):
-                with contextlib.suppress(ConnectionError):
-                    writer.close()       # unblock idle keep-alive readers
-            await asyncio.sleep(0)
-            for _ in self._caches:
-                exec_cache.uninstall_cache()
-            self._caches = ()
+        caches = (exec_cache.open_caches(self.config.cache_dir)
+                  if self.config.cache_dir else ())
+        with exec_cache.cache_context(*caches):
+            server = await asyncio.start_server(
+                self._handle_connection, self.config.host, self.config.port)
+            self.port = server.sockets[0].getsockname()[1]
+            scheduler = asyncio.ensure_future(self._scheduler())
+            if ready is not None:
+                ready.set()
+            try:
+                await self._stopping.wait()
+            finally:
+                server.close()
+                await server.wait_closed()
+                self._job_ready.set()        # wake the scheduler to drain
+                await scheduler
+                for writer in list(self._writers):
+                    with contextlib.suppress(ConnectionError):
+                        writer.close()       # unblock idle keep-alive readers
+                await asyncio.sleep(0)
 
     def request_stop(self) -> None:
         """Thread-safe shutdown trigger (used by :class:`DaemonHandle`)."""

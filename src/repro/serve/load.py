@@ -16,7 +16,8 @@ Gates, both optional and both byte-identity over canonical dumps:
   daemon under a seeded fault plan over the same warm cache root; the
   faulted envelopes must equal the fault-free ones, exactly the
   ``repro chaos`` contract, with the engine's recovery counters
-  reported from the faulted phase's metrics.
+  reported from the faulted phase's metrics and the cache faults from
+  its tiers' stats.
 
 Everything observable is a function of ``seed``; only the latency
 numbers are wall-clock (and stay out of every gate).
@@ -124,9 +125,10 @@ def serial_reference(tape: list[dict], defaults: JobDefaults) -> list[str]:
 
 def _replay(config: ServeConfig, spec: LoadSpec, tape: list[dict],
             registry: metrics_mod.MetricsRegistry
-            ) -> tuple[list[str], dict]:
+            ) -> tuple[list[str], dict, dict]:
     """One daemon lifetime: N client threads replay the tape; returns
-    (per-index outcome bytes, daemon-side report fragments)."""
+    the per-index outcome bytes, the daemon's admission snapshot and
+    its cache tiers' stats."""
     previous = obs_runtime.get_metrics()
     obs_runtime.set_metrics(registry)
     results: list[str | None] = [None] * len(tape)
@@ -153,11 +155,12 @@ def _replay(config: ServeConfig, spec: LoadSpec, tape: list[dict],
         for t in threads:
             t.join()
         admission = handle.daemon.admission.snapshot()
+        tiers = exec_cache.tier_stats()
         handle.stop()
         if errors:
             raise errors[0]
         assert all(r is not None for r in results)
-        return results, {"admission": admission}
+        return results, admission, tiers
     finally:
         obs_runtime.set_metrics(previous)
 
@@ -219,8 +222,8 @@ def run_load(config: ServeConfig, spec: LoadSpec, check: bool = False,
                      if check else None)
 
         registry = metrics_mod.MetricsRegistry(out_path=metrics_out)
-        served, fragments = _replay(config, spec, tape, registry)
-        report.update(fragments)
+        served, report["admission"], _ = _replay(config, spec, tape,
+                                                 registry)
         report["latency"] = _latency_report(registry)
         registry.flush()
 
@@ -238,18 +241,21 @@ def run_load(config: ServeConfig, spec: LoadSpec, check: bool = False,
             chaos_config = replace(
                 config, task_timeout=config.task_timeout or 30.0)
             with inject.plan_context(plan):
-                faulted, _ = _replay(chaos_config, spec, tape,
-                                     chaos_registry)
+                faulted, _, tiers = _replay(chaos_config, spec, tape,
+                                            chaos_registry)
             bad = _mismatches(faulted, served)
             resil = {
-                key: metric.value
+                metric.key: metric.value
                 for metric in chaos_registry
                 if metric.name in ("resil.faults_injected", "exec.retries",
-                                   "exec.worker_deaths", "exec.quarantined",
-                                   "cache.corrupt_reads",
-                                   "cache.breaker_trips")
-                and metric.kind == "counter" and metric.value
-                for key in [metric.key]}
+                                   "exec.worker_deaths", "exec.quarantined")
+                and metric.value}
+            resil.update(
+                (f"cache.{field}{{tier={kind}}}", stats[field])
+                for kind, stats in sorted(tiers.items())
+                for field in ("corrupt_evicted", "breaker_trips",
+                              "write_errors")
+                if stats[field])
             report["chaos"] = {"faults": plan.to_json(),
                               "identical": not bad, "mismatches": bad,
                               "resil": resil}

@@ -132,6 +132,10 @@ class TestIfArithmetic:
         ("1 || 1 / 0", "then"),
         ("0 ? 1 / 0 : 2", "then"),
         ("(1 < 2) << 3 == 8", "then"),
+        ("-1 > 0u", "then"),
+        ("0u - 1 == 4294967295", "then"),
+        ("-1u / 2 == 2147483647", "then"),
+        ("(unsigned)-1 < 0", "then"),  # no casts in cpp: (0)-1 < 0
         ("1 // a comment", "then"),
         ("0 /* a comment */ || 1", "then"),
     ])

@@ -133,6 +133,17 @@ class TestStructsEnumsTypedefs:
     @pytest.mark.parametrize("expr, value", [
         ("-7 / 2", -3), ("7 / -2", -3), ("-7 % 2", -1), ("7 % -2", 1),
         ("-8 >> 1", -4), ("3 << 2", 12),
+        # An unsigned operand converts the other: results wrap mod 2**32.
+        ("-1u / 2", 0x7FFFFFFF), ("0u - 1 == 0xFFFFFFFF", 1),
+        ("-1 > 0u", 1), ("-1 < 0", 1), ("~0u >> 31", 1), ("~0 >> 31", -1),
+        # A literal above INT_MAX is unsigned int, as typecheck types it.
+        ("0xFFFFFFFF > 0", 1), ("-0x80000000 > 0", 1),
+        # ?: converts the branch it takes; sizeof is unsigned.
+        ("(1 ? -1 : 0u) > 0", 1), ("sizeof(int) - 5 > 0", 1),
+        # Casts to integer types convert to the type's width.
+        ("(unsigned)-1 / 0x20000000", 7), ("(int)0xFFFFFFFF", -1),
+        ("(char)300", 44), ("(unsigned char)-1", 255),
+        ("(short)-1 < 0", 1), ("(unsigned short)-1 + -65535", 0),
     ])
     def test_constant_expressions_use_c_arithmetic(self, expr, value):
         tu = parse(f"enum e {{ A = {expr} }}; int x[A + 10];")
@@ -143,6 +154,9 @@ class TestStructsEnumsTypedefs:
         ("int x[1 % 0];", "division by zero"),
         ("int x[1 << -1];", "negative shift count"),
         ("enum e { A = 8 >> -2 };", "negative shift count"),
+        ("enum e { A = 1u << -1u };", "shift count too large"),
+        ("int x[1 << 32];", "shift count too large"),
+        ("int x[(char *)8 - (char *)0];", "expected constant integer"),
     ])
     def test_constant_expression_errors_are_parse_errors(self, source,
                                                          message):

@@ -82,6 +82,10 @@ CASES = [
      "return (c < x) * 2 + (c > x); }", 1),
     ("int main(void) { unsigned short h = 60000; int x = -1; "
      "return (h <= x) * 2 + (h >= x); }", 1),
+    # An enum, a global initializer and a function body compute one
+    # value for an unsigned constant expression.
+    ("enum { B = -1u / 2 };\nint g = -1u / 2;\nint main(void) { "
+     "int l = -1u / 2; return (B == g) + (l == g) * 2 + (B > 0) * 4; }", 7),
 ]
 
 

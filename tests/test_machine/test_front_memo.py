@@ -4,6 +4,7 @@ must give every build the code that compiling it from scratch gives,
 and the oracle's per-call memo must change no verdict and outlive no
 call."""
 
+import importlib
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from itertools import product
@@ -132,17 +133,23 @@ def _counting(monkeypatch, owner, name, counts):
 
 def test_check_program_runs_each_stage_once_per_distinct_input(monkeypatch):
     """One cpp and one lex per program, one parse per annotation mode
-    (none, safe, checked), one back half per (config, register file,
-    sink), and still one compile_source call per cell."""
+    (none, safe, checked), one typecheck per parse plus one of each
+    annotated unit, one back half per (config, register file, sink),
+    and still one compile_source call per cell."""
     counts = {}
     for owner, name in ((Preprocessor, "preprocess"), (Lexer, "tokenize"),
-                        (Parser, "parse"), (driver, "generate_program"),
+                        (Parser, "parse"), (driver, "typecheck"),
+                        # (repro.core re-exports a function named annotate)
+                        (importlib.import_module("repro.core.annotate"),
+                         "typecheck"),
+                        (driver, "generate_program"),
                         (oracle, "compile_source")):
         _counting(monkeypatch, owner, name, counts)
     report = oracle.check_program(CORPUS[0].read_text())
     assert report.ok and report.runs == 24
     assert counts == {"preprocess": 1, "tokenize": 1, "parse": 3,
-                      "generate_program": 13, "compile_source": 24}
+                      "typecheck": 5, "generate_program": 13,
+                      "compile_source": 24}
 
 
 def _verdict(report):

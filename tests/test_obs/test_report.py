@@ -1,11 +1,16 @@
 """Summary aggregation (``repro-obs-summary/1``) and text rendering,
 on synthetic events and on a real recorded run."""
 
+import ast
+import inspect
+
+from repro.exec import cache as exec_cache
 from repro.gc import Collector
 from repro.machine import CompileConfig, VM, compile_source
 from repro.machine.models import MODELS
 from repro.obs import runtime
 from repro.obs.metrics import COUNT_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.obs import report
 from repro.obs.report import (SUMMARY_SCHEMA, render_compile_report,
                               render_gc_report, render_percentiles_report,
                               render_text, render_vm_report, summarize)
@@ -239,3 +244,42 @@ class TestEndToEndSummary:
         phases = summarize(tracer.events)["compile"]["phases"]
         assert phases["postproc.peephole"]["count"] == 1
         assert phases["postproc.sink"]["count"] == 1
+
+
+class TestOneBookPerCount:
+    """Cache outcomes are counted only in ``CacheStats`` and recovery
+    actions only in ``MergedRun``; every readout derives from them."""
+
+    def test_cache_tiers_never_touch_the_metrics_registry(self):
+        source = inspect.getsource(exec_cache)
+        assert "get_metrics" not in source
+        assert ".counter(" not in source
+
+    def test_summarize_counts_no_cache_or_resil_instant(self):
+        tree = ast.parse(inspect.getsource(report.summarize))
+        names = {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)
+                 and node.value.startswith(("cache.", "resil."))}
+        # The one cache.* name it reads is the tiers' stats snapshot.
+        assert names == {"cache.stats"}
+
+    def test_resil_section_comes_from_the_two_snapshots(self):
+        reg = MetricsRegistry()
+        reg.counter("exec.worker_deaths", det=False).inc(3)
+        reg.counter("exec.degraded", det=False).inc()
+        tiers = {"compile": exec_cache.CacheStats(breaker_trips=1).to_dict(),
+                 "result": exec_cache.CacheStats(write_errors=2).to_dict()}
+        events = [{"kind": "instant", "name": "obs.metrics",
+                   "args": {"metrics": reg.to_dict()}},
+                  {"kind": "instant", "name": "cache.stats", "args": tiers},
+                  # Timeline markers only: none of these is counted.
+                  {"kind": "instant", "name": "resil.worker_lost",
+                   "args": {}},
+                  {"kind": "instant", "name": "cache.breaker_trip",
+                   "args": {"kind": "compile"}}]
+        assert summarize(events)["resil"] == {
+            "retries": 0, "worker_deaths": 3, "quarantined": 0,
+            "dropped_messages": 0, "degraded": True, "breaker_trips": 1,
+            "cache_write_errors": 2}
+        assert "resil" not in summarize(events[2:])

@@ -3,8 +3,11 @@ must degrade throughput, never correctness."""
 
 import pytest
 
-from repro.exec.cache import CompileCache
+from repro.cliutil import obs_session
+from repro.exec.cache import CompileCache, cache_context
 from repro.obs import runtime as obs_runtime
+from repro.obs.report import summarize
+from repro.obs.tracer import load_jsonl
 from repro.resil import inject, parse_faults
 
 
@@ -129,3 +132,21 @@ class TestInjectedFaults:
     def test_stats_dict_carries_resilience_counters(self, cache):
         d = cache.stats.to_dict()
         assert "breaker_trips" in d and "write_errors" in d
+
+    def test_corrupt_read_reads_the_same_in_every_readout(self, cache,
+                                                          tmp_path):
+        key, = _store(cache, 1)
+        trace = str(tmp_path / "trace.jsonl")
+        with cache_context(cache), obs_session(trace, False, None), \
+                inject.plan_context(parse_faults("cache_corrupt@1", seed=0)):
+            assert cache.get(key) is None
+        assert (cache.stats.misses, cache.stats.corrupt_evicted) == (1, 1)
+        events = load_jsonl(trace)
+        tiers, = [e["args"] for e in events if e["name"] == "cache.stats"]
+        assert tiers == {"compile": cache.stats.to_dict()}
+        # The eviction marks the timeline; no readout sums the marker.
+        assert [e["name"] for e in events
+                if e["name"].startswith("cache.")] == ["cache.evict",
+                                                       "cache.stats"]
+        summary = summarize(events)
+        assert "cache" not in summary and "resil" not in summary

@@ -10,9 +10,12 @@ import time
 
 import pytest
 
+from repro.cliutil import obs_session
 from repro.exec import engine
 from repro.exec.engine import run_sharded, task_timeout_context
 from repro.obs import runtime as obs_runtime
+from repro.obs.report import render_text, summarize
+from repro.obs.tracer import load_jsonl
 from repro.resil import inject, parse_faults
 
 WORKERS = 2
@@ -113,23 +116,38 @@ class TestPoisonQuarantine:
         assert "resil.retry" in names
         assert "resil.worker_lost" in names
 
-    def test_obs_summary_gains_resil_section_only_under_faults(self):
-        from repro.obs.report import render_text, summarize
-        plan = parse_faults("worker_crash@shard1", seed=0)
-        obs_runtime.enable_tracing()
-        try:
-            with inject.plan_context(plan):
+    def test_obs_summary_gains_resil_section_only_under_faults(
+            self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        with obs_session(trace, False, None):
+            with inject.plan_context(parse_faults("worker_crash@shard1",
+                                                  seed=0)):
                 run_sharded(PAYLOADS, square, workers=WORKERS)
-            events = [e.to_json()
-                      for e in obs_runtime.get_tracer().sorted_events()]
-        finally:
-            obs_runtime.reset()
-        summary = summarize(events)
+        summary = summarize(load_jsonl(trace))
         assert summary["resil"]["worker_deaths"] == 1
         assert summary["resil"]["retries"] >= 1
         assert "resilience:" in render_text(summary)
         # Fault-free traces keep their exact pre-resilience shape.
         assert "resil" not in summarize([])
+        with obs_session(trace, False, None):
+            run_sharded(PAYLOADS, square, workers=WORKERS)
+        assert "resil" not in summarize(load_jsonl(trace))
+
+    def test_poison_reads_the_same_in_every_readout(self, tmp_path):
+        # The pinned rerun's death is the third: the run's MergedRun,
+        # its registry counters and the trace summary all count it.
+        trace = str(tmp_path / "trace.jsonl")
+        with obs_session(trace, False, None):
+            metrics = obs_runtime.get_metrics()
+            with inject.plan_context(parse_faults("poison@task3", seed=0)):
+                merged = run_sharded(PAYLOADS, square, workers=WORKERS)
+        resil = summarize(load_jsonl(trace))["resil"]
+        assert merged.worker_deaths == 3 and merged.quarantined == [3]
+        assert metrics.get("exec.worker_deaths").value == 3
+        assert metrics.get("exec.quarantined").value == 1
+        assert resil["worker_deaths"] == 3 and resil["quarantined"] == 1
+        assert resil["retries"] == merged.retries
+        assert metrics.get("exec.rounds").value == merged.rounds
 
 
 class TestPipeFaults:
@@ -150,6 +168,7 @@ class TestPipeFaults:
             merged = run_sharded(PAYLOADS, square, workers=WORKERS)
         assert merged.ok
         assert merged.results == CLEAN
+        assert merged.dropped_messages >= 1  # a worker finished with holes
 
     def test_pipe_garbage_recovers(self):
         plan = parse_faults("pipe_garbage@0.5", seed=1)
@@ -215,6 +234,7 @@ class TestPolicy:
         assert summary == {"retries": merged.retries,
                            "worker_deaths": merged.worker_deaths,
                            "quarantined": merged.quarantined,
+                           "dropped_messages": merged.dropped_messages,
                            "degraded": merged.degraded,
                            "rounds": merged.rounds}
 

@@ -169,6 +169,19 @@ class TestControlPlane:
         assert any(n.startswith("serve.requests") for n in names)
         assert any(n.startswith("serve.request_ns") for n in names)
 
+    def test_stop_restores_the_tiers_installed_before(self, tmp_path):
+        from repro.exec import cache as exec_cache
+        host = exec_cache.CompileCache(str(tmp_path / "host"))
+        config = ServeConfig(port=0, cache_dir=str(tmp_path / "cache"))
+        with exec_cache.cache_context(host):
+            handle = start_in_thread(config)
+            served = exec_cache.active_cache("compile")
+            handle.stop()
+            assert served is not host
+            assert served.root == str(tmp_path / "cache" / "compile")
+            assert exec_cache.active_cache("compile") is host
+            assert exec_cache.active_cache("result") is None
+
     def test_shutdown_via_rpc(self, tmp_path):
         config = ServeConfig(port=0, cache_dir=str(tmp_path / "cache"))
         handle = start_in_thread(config)
