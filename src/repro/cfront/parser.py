@@ -60,13 +60,15 @@ _CONST_UNARY = {"-": operator.neg, "+": operator.pos,
 
 
 class _Scope:
-    """Tracks typedef names and struct/union/enum tags per lexical scope."""
+    """Tracks typedef names, struct/union/enum tags and the types of
+    declared objects per lexical scope."""
 
     def __init__(self, parent: "_Scope | None" = None):
         self.parent = parent
         self.typedefs: dict[str, CType] = {}
         self.tags: dict[str, Struct] = {}
         self.enum_consts: dict[str, int] = {}
+        self.objects: dict[str, CType] = {}
 
     def lookup_typedef(self, name: str) -> CType | None:
         scope: _Scope | None = self
@@ -89,6 +91,14 @@ class _Scope:
         while scope is not None:
             if name in scope.enum_consts:
                 return scope.enum_consts[name]
+            scope = scope.parent
+        return None
+
+    def lookup_object(self, name: str) -> CType | None:
+        scope: _Scope | None = self
+        while scope is not None:
+            if name in scope.objects:
+                return scope.objects[name]
             scope = scope.parent
         return None
 
@@ -183,6 +193,8 @@ class Parser:
     def _function_definition(self, start: int, name: str, ctype: Function,
                              params: list[A.ParamDecl], storage: str | None) -> A.FuncDef:
         self._push_scope()
+        for param in params:
+            self.scope.objects[param.name] = param.ctype
         body = self._block()
         self._pop_scope()
         return A.FuncDef(name=name, ctype=ctype, params=params, body=body,
@@ -213,6 +225,8 @@ class Parser:
             ctype = Array(ctype.element, len(init.items))
         if isinstance(ctype, Array) and ctype.length is None and isinstance(init, A.StringLit):
             ctype = Array(ctype.element, len(init.value) + 1)
+        if storage != "typedef":
+            self.scope.objects[name] = ctype
         return A.Declarator(name=name, ctype=ctype, init=init, span=self._span(start))
 
     def _initializer(self) -> A.Node:
@@ -316,7 +330,10 @@ class Parser:
         """Evaluate a constant integer expression (array sizes, enum
         values, ``#if``) with C's truncating ``/`` and ``%``.  A value
         of type unsigned int (:meth:`_const_unsigned`) is kept in
-        [0, 2**32), so an unsigned operand makes the result wrap."""
+        [0, 2**32), so an unsigned operand makes the result wrap.
+        ``sizeof`` takes a type or a declared object of known size
+        named by itself (``sizeof x``, ``sizeof(x)``); any other
+        operand (``sizeof *p``, ``sizeof a[0]``) raises ParseError."""
         if isinstance(expr, A.IntLit):
             return self._wrap(expr, expr.value)
         if isinstance(expr, A.CharLit):
@@ -362,9 +379,14 @@ class Parser:
                 raise ParseError("division by zero in constant expression",
                                  expr.span.start, self.source)
             return self._wrap(expr, _CONST_OPS[expr.op](lhs, rhs))
-        if isinstance(expr, (A.SizeofType, A.SizeofExpr)):
-            if isinstance(expr, A.SizeofType):
-                return expr.of_type.size
+        if isinstance(expr, A.SizeofType):
+            return expr.of_type.size
+        if isinstance(expr, A.SizeofExpr) and isinstance(expr.operand,
+                                                         A.Ident):
+            ctype = self.scope.lookup_object(expr.operand.name)
+            if (ctype is not None and not isinstance(ctype, Function)
+                    and ctype.size > 0):
+                return ctype.size
         raise ParseError("expected constant integer expression",
                          expr.span.start, self.source)
 
@@ -383,7 +405,7 @@ class Parser:
             to = expr.to_type
             return (isinstance(to, IntType) and not to.signed
                     and to.size >= INT.size)
-        if isinstance(expr, A.SizeofType):
+        if isinstance(expr, (A.SizeofType, A.SizeofExpr)):
             return True
         if isinstance(expr, A.Unary) and expr.op in ("+", "-", "~"):
             return self._const_unsigned(expr.operand)

@@ -546,6 +546,8 @@ def _run_resilient(plan: ShardPlan, fn: Callable[[Any], Any],
                                         st.errors[0][1])
         else:
             merged.worker_deaths += 1
+            tracer.instant("resil.worker_lost", shard=-1, attempt=-1,
+                           reason=st.death_reason, lost=1, culprit=idx)
             deaths = death_counts.get(idx, 0) + 1
             failures[idx] = TaskFailure(
                 idx, home_shard[idx],

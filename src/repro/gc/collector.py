@@ -486,27 +486,27 @@ class Collector:
         ``p`` passes unchecked.  One-past-the-end pointers pass because
         every object carries an extra byte (see ``round_size``).
         """
-        self.stats.checks_performed += 1
-        self.stats.same_obj_checks += 1
-        return self._same_obj(p, q)
+        stats = self.stats
+        stats.checks_performed += 1
+        stats.same_obj_checks += 1
+        base_of = self.heap.base_of
+        q_base = base_of(q)
+        if q_base is not None and base_of(p) != q_base:
+            raise self._escape(p, q, q_base)
+        return p
 
-    def _same_obj(self, p: int, q: int) -> int:
-        """The check itself, with no stats accounting (``pre_incr`` /
-        ``post_incr`` delegate here and attribute to ``incr_checks``)."""
-        q_base = self.heap.base_of(q)
-        if q_base is None:
-            return p
+    def _escape(self, p: int, q: int, q_base: int) -> GCCheckError:
+        """The error of a failed same-object check: ``p``, derived from
+        ``q`` in the object at ``q_base``, is not in that object."""
         p_base = self.heap.base_of(p)
         if p_base is None:
-            raise GCCheckError(
+            return GCCheckError(
                 f"pointer arithmetic moved 0x{q:08x} outside its object "
                 f"(result 0x{p:08x} is not inside any live heap object)")
-        if p_base != q_base:
-            raise GCCheckError(
-                f"pointer arithmetic crossed objects: 0x{p:08x} is in the "
-                f"object at 0x{p_base:08x}, but its base 0x{q:08x} is in "
-                f"the object at 0x{q_base:08x}")
-        return p
+        return GCCheckError(
+            f"pointer arithmetic crossed objects: 0x{p:08x} is in the "
+            f"object at 0x{p_base:08x}, but its base 0x{q:08x} is in "
+            f"the object at 0x{q_base:08x}")
 
     def check_base(self, p: int) -> int:
         """GC_check_base(p): verify that a pointer about to be stored in
@@ -528,20 +528,24 @@ class Collector:
     def pre_incr(self, p_slot: int, delta: int) -> int:
         """GC_pre_incr(&p, n): p += n with a same-object check; returns
         the new value of p."""
-        self.stats.checks_performed += 1
-        self.stats.incr_checks += 1
-        old = self.memory.load_word(p_slot)
-        new = (old + delta) % (1 << 32)
-        self._same_obj(new, old)
-        self.memory.store_word(p_slot, new)
-        return new
+        return self._incr(p_slot, delta)[1]
 
     def post_incr(self, p_slot: int, delta: int) -> int:
         """GC_post_incr(&p, n): p += n with a check; returns the old p."""
-        self.stats.checks_performed += 1
-        self.stats.incr_checks += 1
+        return self._incr(p_slot, delta)[0]
+
+    def _incr(self, p_slot: int, delta: int) -> tuple[int, int]:
+        """p += n for the pointer p at ``p_slot``, checked as
+        ``same_obj(new, old)`` but counted as an incr check; returns
+        (old, new)."""
+        stats = self.stats
+        stats.checks_performed += 1
+        stats.incr_checks += 1
         old = self.memory.load_word(p_slot)
-        new = (old + delta) % (1 << 32)
-        self._same_obj(new, old)
+        new = (old + delta) & 0xFFFFFFFF
+        base_of = self.heap.base_of
+        old_base = base_of(old)
+        if old_base is not None and base_of(new) != old_base:
+            raise self._escape(new, old, old_base)
         self.memory.store_word(p_slot, new)
-        return old
+        return old, new

@@ -178,16 +178,28 @@ class Heap:
 
     def base_of(self, addr: int) -> int | None:
         """GC_base: map any interior address to the start of its live
-        object, or None when ``addr`` is not inside a live heap object."""
-        desc = self.descriptor_for(addr)
+        object, or None when ``addr`` is not inside a live heap object.
+
+        Every pointer check resolves its operands here, so the two-level
+        page-table lookup and the slot arithmetic are inlined, as in the
+        collector's mark phase.  A page maps only to the descriptor of
+        its own run, so ``addr`` is never below ``desc.start``."""
+        if addr < 0 or addr > 0xFFFFFFFF:
+            return None
+        bottom = self.table._top[addr >> 22]
+        if bottom is None:
+            return None
+        desc = bottom[(addr >> 12) & 1023]
         if desc is None:
             return None
+        start = desc.start
         if desc.large:
-            return desc.start if desc.alloc[0] and addr < desc.start + desc.obj_size else None
-        idx = desc.object_index(addr)
-        if idx is None or not desc.alloc[idx]:
+            return (start if desc.alloc[0] and addr < start + desc.obj_size
+                    else None)
+        idx = (addr - start) // desc.obj_size
+        if idx >= desc.n_objects or not desc.alloc[idx]:
             return None
-        return desc.object_base(idx)
+        return start + idx * desc.obj_size
 
     def size_of(self, base_addr: int) -> int | None:
         """Rounded size of the live object starting at ``base_addr``."""

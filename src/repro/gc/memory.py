@@ -154,19 +154,19 @@ class Memory:
         return b"".join(chunks)
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
-        chunks: list[bytes] = []
+        chunks: list[bytearray] = []
         a = addr
         remaining = limit
         while remaining > 0:
             page = self._page_at(a)
             off = a & PAGE_MASK
             take = min(PAGE_SIZE - off, remaining)
-            chunk = page[off : off + take]
-            z = chunk.find(0)
+            # Scan the page in place and copy only the string.
+            z = page.find(0, off, off + take)
             if z >= 0:
-                chunks.append(bytes(chunk[:z]))
+                chunks.append(page[off:z])
                 break
-            chunks.append(bytes(chunk))
+            chunks.append(page[off : off + take])
             a += take
             remaining -= take
         return b"".join(chunks).decode("latin-1")

@@ -18,10 +18,13 @@ closure evaluates the condition inline, and on a taken branch writes
 back the registers cached so far, settles the instruction/cycle
 counters for exactly the constituents that executed (branch taken-cost
 included), and returns the branch target.  A trailing ``jmp`` or
-``ret`` fuses the same way.  Calls (compiled or builtin) never fuse: a
-collection can run inside them, and the collector must see the true
-register file — locals cached in a fused closure would be invisible
-roots.
+``ret`` fuses the same way.  A call to one of the pointer checks of a
+checked build (``vm.CHECK_EXPRS``) is a straight-line op like any
+other: it allocates, collects and prints nothing, reads only its
+argument registers and writes only ``rv``.  Every other call (compiled,
+indirect or builtin) never fuses: a collection can run inside it, and
+the collector must see the true register file — locals cached in a
+fused closure would be invisible roots.
 
 Counts stay bit-identical by construction:
 
@@ -29,11 +32,15 @@ Counts stay bit-identical by construction:
   costs are settled on the path actually executed, so instruction and
   cycle totals equal the unfused sums exactly;
 * the instruction budget is checked once per *segment* (the
-  unconditional stretch up to and including the next possible exit):
-  a segment's constituents execute unconditionally once it is entered,
-  so the unfused loop raises within the segment iff the fused check
-  trips; the counter is left at ``budget + 1`` either way and the same
-  :class:`~repro.machine.vm.VMError` escapes;
+  unconditional stretch up to and including the next possible exit or
+  check): a segment's constituents execute unconditionally once it is
+  entered, so the unfused loop raises within the segment iff the fused
+  check trips; the counter is left at ``budget + 1`` either way and the
+  same :class:`~repro.machine.vm.VMError` escapes.  A check ends its
+  segment because its count is observable: the unfused loop runs every
+  check before the budget fault, so a guard may not raise ahead of one
+  the budget still covers.  A check that fails raises its
+  ``GCCheckError`` after the same checks as the unfused loop;
 * runs never span branch landing sites (the instruction after a
   *targeted* label — one some branch actually names), so control can
   never jump into the middle of a fused region; branches land past
@@ -63,8 +70,9 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
-from .asm import BRANCH_OPS, MInst
-from .vm import STRAIGHT_OPS, VMError, _OP_HELPERS, _RET_PC, shape, statement
+from .asm import BRANCH_OPS, MInst, RV
+from .vm import (STRAIGHT_OPS, VMError, _OP_HELPERS, _RET_PC, is_check,
+                 op_cycles, operands, shape, statement)
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
@@ -81,13 +89,13 @@ MIN_RUN = 2
 FUSE_AFTER = 64
 
 
-# Straight-line ops (``vm.STRAIGHT_OPS`` and the zero-cost markers)
-# fuse and never end a run, except an ``la`` of an undefined symbol,
-# which keeps its raise-on-execute closure.  Calls never fuse (a
-# collection may run inside them).  ``_find_runs`` decides the rest: a
-# targeted label's successor is a branch landing site; conditional
-# branches fuse as early exits and jmp/ret end a run, a branch only
-# when its label resolves.
+# Straight-line ops (``vm.STRAIGHT_OPS``, the pointer checks and the
+# zero-cost markers) fuse and never end a run, except an ``la`` of an
+# undefined symbol, which keeps its raise-on-execute closure.  Other
+# calls never fuse (a collection may run inside them).  ``_find_runs``
+# decides the rest: a targeted label's successor is a branch landing
+# site; conditional branches fuse as early exits and jmp/ret end a run,
+# a branch only when its label resolves.
 _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
 _STRAIGHT_OPS = _NO_CODE_OPS | STRAIGHT_OPS
@@ -119,9 +127,9 @@ def _struct_access(width: int, signed: bool, page: str, off: str,
 def _find_runs(vm, insts: list[MInst],
                labels: dict[str, int]) -> dict[int, int]:
     """Maximal fusable runs of one function, as ``{start: end}``:
-    straight-line code plus conditional-branch early exits, terminated
-    by calls, jmp, ret, or anything unfusable — and never containing a
-    branch-entry point strictly inside.
+    straight-line code (checks included) plus conditional-branch early
+    exits, terminated by other calls, jmp, ret, or anything unfusable —
+    and never containing a branch-entry point strictly inside.
 
     Only *targeted* labels (those some branch names) are entry points;
     a fall-through-only label is reachable solely from the instruction
@@ -135,8 +143,9 @@ def _find_runs(vm, insts: list[MInst],
     start = -1
     for i, inst in enumerate(insts):
         op = inst.op
-        if op in _STRAIGHT_OPS and (op != "la"
-                                    or vm._immediate(inst) is not None):
+        if (op in _STRAIGHT_OPS and (op != "la"
+                                     or vm._immediate(inst) is not None)
+                or is_check(inst)):
             if start < 0:
                 start = i
             continue
@@ -206,6 +215,7 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         "_ERR": VMError,
         "_LD": vm._load,
         "_STO": vm._store,
+        "_GC": vm.gc,
         **_OP_HELPERS,
         **_CODECS,
     }
@@ -255,8 +265,9 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     # one before the write in iteration one of an in-closure loop — can
     # write back the full set (identity writes are harmless: the local
     # was preloaded from the dict).
-    full_written = sorted({w for i in range(start, end + 1)
-                           if (w := insts[i].register_written())})
+    full_written = sorted({RV if is_check(insts[i])
+                           else insts[i].register_written()
+                           for i in range(start, end + 1)} - {None})
     if has_self:
         for reg in full_written:
             rd(reg)
@@ -268,11 +279,12 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     guarded = 0
 
     # Self-loop runs keep the instruction/cycle counters in locals for
-    # the closure's lifetime and settle ``_ST`` only when leaving: no
-    # call can occur inside a run, so nothing else observes the shared
-    # counters while the closure iterates.  (At a budget raise the
-    # counter is settled to ``budget + 1``; the cycle counter's partial
-    # state is unobservable — no RunResult is built on a VMError.)
+    # the closure's lifetime and settle ``_ST`` only when leaving: the
+    # only calls inside a run are checks, which do not read them, so
+    # nothing else observes the shared counters while the closure
+    # iterates.  (At a budget raise the counter is settled to
+    # ``budget + 1``; the cycle counter's partial state is unobservable
+    # — no RunResult is built on a VMError.)
     ic = "_ic" if has_self else "_ST[0]"
     if has_self:
         loads.append("    _ic = _ST[0]")
@@ -295,8 +307,9 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                     "(runaway program?)')")
 
     def seg_end(frm: int) -> int:
+        """The end of the segment from ``frm``: its next exit or check."""
         for j in range(frm, end + 1):
-            if insts[j].op in _EXIT_OPS:
+            if insts[j].op in _EXIT_OPS or is_check(insts[j]):
                 return j
         return end
 
@@ -313,21 +326,21 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             body.append(f"{indent}    _ST[0] = {budget + 1}")
             body.append(f"{indent}    raise _ERR('instruction budget "
                         "exceeded (runaway program?)')")
-            body.append(f"{indent}_cy += {cycles + extra_cycles}")
+            body.append(f"{indent}_cy += {cost + extra_cycles}")
             body.append(f"{indent}continue")
             return
         for reg in (full_written if has_self else sorted(written)):
             body.append(f"{indent}_R[{reg!r}] = {known[reg]}")
         if has_self:
             body.append(f"{indent}_ST[0] = _ic + {i - start}")
-            body.append(f"{indent}_ST[1] = _cy + {cycles + extra_cycles}")
+            body.append(f"{indent}_ST[1] = _cy + {cost + extra_cycles}")
         else:
             if i > start:
                 body.append(f"{indent}_ST[0] += {i - start}")
-            body.append(f"{indent}_ST[1] += {cycles + extra_cycles}")
+            body.append(f"{indent}_ST[1] += {cost + extra_cycles}")
         body.append(f"{indent}return {target}")
 
-    cycles = 0  # static cost of the fall-through path so far
+    cost = 0  # static cost of the fall-through path so far
     for i in range(start, end + 1):
         inst = insts[i]
         op = inst.op
@@ -341,26 +354,27 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             rel = "==" if op == "bz" else "!="
             body.append(f"    if {cond} {rel} 0:")
             emit_exit(i, taken, target, " " * 8)
-            cycles += model.cycles_for(op)
+            cost += model.cycles_for(op)
             continue
         if op == "jmp":
             taken = model.cycles_for(op, taken=True)
             emit_exit(i, taken, labels[inst.symbol] + 1, " " * 4)
-            cycles += taken
+            cost += taken
             continue
         if op == "ret":
             emit_exit(i, model.cycles_for(op), _RET_PC, " " * 4)
-            cycles += model.cycles_for(op)
+            cost += model.cycles_for(op)
             continue
-        cycles += model.cycles_for(op)
+        cost += op_cycles(model, inst)
         if op in _NO_CODE_OPS or op == "label":
             # Zero cycles, no code; counts one instruction by position
             # (the unfused loop dispatches its op_skip closure once).
             continue
         s = shape(inst)
-        a = rd(inst.rs1) if s[1] != "i" else ""
-        b = rd(inst.rs2) if s[1] == "rr" else str(vm._immediate(inst))
-        d = rd(inst.rd) if op == "st" else wr(inst.rd)
+        dst, src1, src2 = operands(inst)
+        a = rd(src1) if s[1] != "i" else ""
+        b = rd(src2) if s[1] == "rr" else str(vm._immediate(inst))
+        d = rd(dst) if op == "st" else wr(dst)
         body.extend("    " + line
                     for line in statement(s, a, b, d, str(i), _struct_access))
 

@@ -25,10 +25,14 @@ is entered often enough is replaced by one ``exec``-compiled
 superinstruction with the same counts (``machine/superinst.py``).
 
 What each straight-line op executes is written once.  ``ALU_EXPRS``/
-``UNARY_EXPRS`` hold each operator's expression, and :func:`statement`
+``UNARY_EXPRS`` hold each operator's expression and ``CHECK_EXPRS``
+each pointer check's call of the collector, and :func:`statement`
 renders every straight-line op (``li``, ``la``, ``mov``, the ALU and
-unary ops, ``ld`` at each width and signedness, ``st`` at each width)
-as Python statements over the texts of its operands.  The plain
+unary ops, ``ld`` at each width and signedness, ``st`` at each width,
+and a ``call`` of one of the five checks) as Python statements over the
+texts of its operands.  A check's cycle cost is the call's plus
+:func:`check_extra`, which the checks' ``BUILTINS`` entries (what
+``callr`` runs) read too.  The plain
 closures (one factory per :func:`shape`, compiled on first use) and the
 fused runs are compiled from those statements, and the optimizer folds
 constants with the expressions (``opt.local.eval_bin``), so a folded
@@ -193,10 +197,56 @@ def _op_functions(exprs: dict[str, str], params: str) -> dict:
 ALU_FUNCS = _op_functions(ALU_EXPRS, "a, b")
 UNARY_FUNCS = _op_functions(UNARY_EXPRS, "a")
 
-# The ops ``statement`` renders: everything but control transfer, calls
-# and the zero-cost markers.
+# What each pointer check (the paper's GC_same_obj family, the calls
+# of a ``-g checked`` build) computes: a call of the collector ``_GC``
+# on the argument registers a0 {a} and a1 {b}, whose value is rv.  None
+# allocates, collects or prints, so a check is a straight-line op: it
+# reads and writes no register but its arguments and rv.
+CHECK_EXPRS = {
+    "GC_same_obj": "_GC.same_obj({a}, {b})",
+    "GC_pre_incr": "_GC.pre_incr({a}, _s32({b}))",
+    "GC_post_incr": "_GC.post_incr({a}, _s32({b}))",
+    "GC_check_base": "_GC.check_base({a})",
+    "GC_base": "_GC.base({a}) or 0",
+}
+
+
+def check_extra(model: MachineModel, name: str) -> int:
+    """The cycles check ``name`` costs beyond its call: the page-table
+    lookup, and for an incr check the load and store of the pointer it
+    moves."""
+    extra = model.builtin_check_cycles
+    if name == "GC_pre_incr" or name == "GC_post_incr":
+        extra += 2 * model.load_cycles
+    return extra
+
+
+# The ops ``statement`` renders, besides the checks (calls, told apart
+# by their symbol: :func:`is_check`): everything but control transfer,
+# calls and the zero-cost markers.
 STRAIGHT_OPS = frozenset(("li", "la", "mov", "ld", "st",
                           *ALU_EXPRS, *UNARY_EXPRS))
+
+
+def is_check(inst: MInst) -> bool:
+    """Whether ``inst`` calls one of the pointer checks."""
+    return inst.op == "call" and inst.symbol in CHECK_EXPRS
+
+
+def operands(inst: MInst) -> tuple[str | None, str | None, str | None]:
+    """The registers a straight-line ``inst`` names as (``rd``, ``rs1``,
+    ``rs2``): a check reads a0 and a1 and writes rv."""
+    if inst.op == "call":
+        return RV, ARG_REGS[0], ARG_REGS[1]
+    return inst.rd, inst.rs1, inst.rs2
+
+
+def op_cycles(model: MachineModel, inst: MInst) -> int:
+    """The static cycle cost of a straight-line ``inst``: its op's, and
+    a check's call plus :func:`check_extra`."""
+    if inst.op == "call":
+        return model.cycles_for("call") + check_extra(model, inst.symbol)
+    return model.cycles_for(inst.op)
 
 
 def shape(inst: MInst) -> tuple[str, str, int, bool]:
@@ -204,12 +254,16 @@ def shape(inst: MInst) -> tuple[str, str, int, bool]:
     its registers and immediate: (op, operand form, width, signed).
     Forms: "rr" (``rs1`` and ``rs2``), "ri" (``rs1`` and the immediate),
     "r" (``rs1`` only) and "i" (the immediate only).  ``la`` is ``li``
-    of its symbol's address, and a word load's signedness is moot."""
+    of its symbol's address, a word load's signedness is moot, and a
+    check's op is its name."""
     op = inst.op
     if op == "li" or op == "la":
         return "li", "i", 4, False
     if op == "mov" or op in UNARY_EXPRS:
         return op, "r", 4, False
+    if op == "call":
+        name = inst.symbol
+        return name, "rr" if "{b}" in CHECK_EXPRS[name] else "r", 4, False
     form = "ri" if inst.rs2 is None else "rr"
     if op == "ld" or op == "st":
         return op, form, inst.width, (op == "ld" and inst.width < 4
@@ -230,7 +284,8 @@ def statement(shape: tuple[str, str, int, bool], a: str, b: str, d: str,
     or into an unmapped one; ``access(width, signed, page, off, value)``
     renders the in-page access, the one text each tier writes itself:
     with ``value`` None, the expression reading ``width`` bytes at
-    ``page[off]``, else the statement writing ``value`` there."""
+    ``page[off]``, else the statement writing ``value`` there.  A check
+    calls the collector ``_GC``."""
     op, form, width, signed = shape
     if form == "i":
         return [f"{d} = {b}"]
@@ -239,6 +294,9 @@ def statement(shape: tuple[str, str, int, bool], a: str, b: str, d: str,
     expr = ALU_EXPRS.get(op) or UNARY_EXPRS.get(op)
     if expr is not None:
         return [f"{d} = {expr.format(a=a, b=b)}"]
+    expr = CHECK_EXPRS.get(op)
+    if expr is not None:
+        return [f"{d} = ({expr.format(a=a, b=b)}) & 4294967295"]
     addr, off, page = f"_a{t}", f"_o{t}", f"_p{t}"
     lines = [f"{addr} = ({a} + {b}) & 4294967295",
              f"{off} = {addr} & 4095",
@@ -273,7 +331,7 @@ def _slice_access(width: int, signed: bool, page: str, off: str,
 # state once, so its closures share the state's cells rather than each
 # allocating its own (linking is a share of every fuzz-oracle cell).
 _FACTORY_TEMPLATE = """\
-def bind(_R, _ST, _PG, _LD, _STO):
+def bind(_R, _ST, _PG, _LD, _STO, _GC):
     def make(rd, rs1, src2, cost):
         def op(pc):
 {body}
@@ -286,10 +344,10 @@ _FACTORIES: dict[tuple[str, str, int, bool], object] = {}
 
 
 def _op_factory(shape: tuple[str, str, int, bool]):
-    """``bind(regs, counters, pages, load, store)`` for ``shape``: it
-    returns one VM's ``make(rd, rs1, src2, cost)``, where ``src2`` is
-    ``rs2`` or the immediate, and ``make`` returns the closure that
-    executes one such instruction."""
+    """``bind(regs, counters, pages, load, store, collector)`` for
+    ``shape``: it returns one VM's ``make(rd, rs1, src2, cost)``, where
+    ``src2`` is ``rs2`` or the immediate, and ``make`` returns the
+    closure that executes one such instruction."""
     factory = _FACTORIES.get(shape)
     if factory is None:
         b = "_R[src2]" if shape[1] == "rr" else "src2"
@@ -523,6 +581,7 @@ class VM:
         pages = self.memory._pages
         load = self._load
         store = self._store
+        gc = self.gc
         model = self.model
         vm = self
 
@@ -632,8 +691,14 @@ class VM:
                 make = makers.get(key)
                 if make is None:
                     make = makers[key] = _op_factory(shape(inst))(
-                        regs, st, pages, load, store)
+                        regs, st, pages, load, store, gc)
                 ops.append(make(inst.rd, inst.rs1, src2, cost))
+            elif op == "call" and inst.symbol in CHECK_EXPRS:
+                make = makers.get(inst.symbol)
+                if make is None:
+                    make = makers[inst.symbol] = _op_factory(shape(inst))(
+                        regs, st, pages, load, store, gc)
+                ops.append(make(*operands(inst), op_cycles(model, inst)))
             elif op == "jmp":
                 # A taken branch resumes at the instruction *after* the
                 # label (the decode loop did pc = label; pc += 1).
@@ -909,26 +974,17 @@ def _bi_gc_collect(vm: VM, args):
     return 0, 200
 
 
-def _bi_same_obj(vm: VM, args):
-    return vm.gc.same_obj(args[0], args[1]), vm.model.builtin_check_cycles
+_CHECK_FUNCS = _op_functions(CHECK_EXPRS, "_GC, a, b")
 
 
-def _bi_pre_incr(vm: VM, args):
-    return (vm.gc.pre_incr(args[0], _signed(args[1])),
-            vm.model.builtin_check_cycles + 2 * vm.model.load_cycles)
+def _check_builtin(name: str):
+    """Check ``name`` as a builtin, for ``callr``: its table expression
+    over the argument registers, and its extra cycles."""
+    check = _CHECK_FUNCS[name]
 
-
-def _bi_post_incr(vm: VM, args):
-    return (vm.gc.post_incr(args[0], _signed(args[1])),
-            vm.model.builtin_check_cycles + 2 * vm.model.load_cycles)
-
-
-def _bi_gc_base(vm: VM, args):
-    return vm.gc.base(args[0]) or 0, vm.model.builtin_check_cycles
-
-
-def _bi_gc_check_base(vm: VM, args):
-    return vm.gc.check_base(args[0]), vm.model.builtin_check_cycles
+    def bi(vm: VM, args):
+        return check(vm.gc, args[0], args[1]), check_extra(vm.model, name)
+    return bi
 
 
 def _bi_keep_live_identity(vm: VM, args):
@@ -1141,11 +1197,7 @@ BUILTINS = {
     "GC_free": _bi_free,
     "GC_collect": _bi_gc_collect,
     "GC_gcollect": _bi_gc_collect,
-    "GC_same_obj": _bi_same_obj,
-    "GC_pre_incr": _bi_pre_incr,
-    "GC_post_incr": _bi_post_incr,
-    "GC_base": _bi_gc_base,
-    "GC_check_base": _bi_gc_check_base,
+    **{name: _check_builtin(name) for name in CHECK_EXPRS},
     "KEEP_LIVE": _bi_keep_live_identity,
     "malloc": _bi_gc_malloc,
     "calloc": _bi_calloc,

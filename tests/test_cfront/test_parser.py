@@ -144,10 +144,22 @@ class TestStructsEnumsTypedefs:
         ("(unsigned)-1 / 0x20000000", 7), ("(int)0xFFFFFFFF", -1),
         ("(char)300", 44), ("(unsigned char)-1", 255),
         ("(short)-1 < 0", 1), ("(unsigned short)-1 + -65535", 0),
+        # sizeof a declared object (v is int[3]) is unsigned too.
+        ("sizeof v", 12), ("sizeof(v) / sizeof(int)", 3),
+        ("sizeof v - 13 > 0", 1),
     ])
     def test_constant_expressions_use_c_arithmetic(self, expr, value):
-        tu = parse(f"enum e {{ A = {expr} }}; int x[A + 10];")
-        assert tu.items[1].declarators[0].ctype.length == value + 10
+        tu = parse(f"int v[3]; enum e {{ A = {expr} }}; int x[A + 10];")
+        assert tu.items[-1].declarators[0].ctype.length == value + 10
+
+    def test_sizeof_object_names_the_innermost_declaration(self):
+        tu = parse("int v[10]; int a[sizeof v];\n"
+                   "void f(char v) { int b[sizeof(v)]; { short v; "
+                   "int c[sizeof v]; } }")
+        assert tu.items[1].declarators[0].ctype.length == 40
+        body = tu.items[2].body.items
+        assert body[0].declarators[0].ctype.length == 1
+        assert body[1].items[1].declarators[0].ctype.length == 2
 
     @pytest.mark.parametrize("source, message", [
         ("enum e { A = 1 / 0 };", "division by zero"),
@@ -157,6 +169,12 @@ class TestStructsEnumsTypedefs:
         ("enum e { A = 1u << -1u };", "shift count too large"),
         ("int x[1 << 32];", "shift count too large"),
         ("int x[(char *)8 - (char *)0];", "expected constant integer"),
+        # sizeof takes only a type or an object named by itself.
+        ("int *p; int x[sizeof *p];", "expected constant integer"),
+        ("int a[3]; int x[sizeof a[0]];", "expected constant integer"),
+        ("int f(void); int x[sizeof f];", "expected constant integer"),
+        ("extern int e[]; int x[sizeof e];", "expected constant integer"),
+        ("int x[sizeof y];", "expected constant integer"),
     ])
     def test_constant_expression_errors_are_parse_errors(self, source,
                                                          message):

@@ -111,6 +111,27 @@ class TestBulkHelpers:
         mem.write_bytes(0x1000, b"text\0junk")
         assert mem.read_cstring(0x1000) == "text"
 
+    def test_cstring_ending_at_a_pages_last_byte(self, mem):
+        mem.write_bytes(0x1FFC, b"abc\0")  # the NUL is the page's last byte
+        assert mem.read_cstring(0x1FFC) == "abc"
+        mem.write_bytes(0x2FFC, b"abcd\0")  # the NUL opens the next page
+        assert mem.read_cstring(0x2FFC) == "abcd"
+
+    def test_cstring_crossing_into_the_next_page(self, mem):
+        mem.write_bytes(0x1FFA, b"hello world\0junk")
+        assert mem.read_cstring(0x1FFA) == "hello world"
+
+    def test_cstring_without_nul_within_limit(self, mem):
+        mem.fill(0x1F00, 0x200, ord("x"))
+        assert mem.read_cstring(0x1F00, limit=10) == "x" * 10
+        # The limit runs on across the page boundary.
+        assert mem.read_cstring(0x1FFC, limit=8) == "x" * 8
+
+    def test_cstring_into_an_unmapped_page(self, mem):
+        mem.fill(0x4FF0, 16, ord("x"))  # 0x5000 is not mapped
+        with pytest.raises(MemoryFault):
+            mem.read_cstring(0x4FF0)
+
     def test_fill(self, mem):
         mem.fill(0x1000, 16, 0xDD)
         assert mem.read_bytes(0x1000, 16) == b"\xdd" * 16

@@ -86,6 +86,8 @@ CASES = [
     # value for an unsigned constant expression.
     ("enum { B = -1u / 2 };\nint g = -1u / 2;\nint main(void) { "
      "int l = -1u / 2; return (B == g) + (l == g) * 2 + (B > 0) * 4; }", 7),
+    # sizeof a declared object is a constant expression.
+    ("int x; int a[sizeof x]; int main() { return sizeof a; }", 16),
 ]
 
 

@@ -141,8 +141,12 @@ class TestPoisonQuarantine:
             metrics = obs_runtime.get_metrics()
             with inject.plan_context(parse_faults("poison@task3", seed=0)):
                 merged = run_sharded(PAYLOADS, square, workers=WORKERS)
-        resil = summarize(load_jsonl(trace))["resil"]
+        events = load_jsonl(trace)
+        resil = summarize(events)["resil"]
         assert merged.worker_deaths == 3 and merged.quarantined == [3]
+        lost = [e["args"] for e in events if e["name"] == "resil.worker_lost"]
+        assert len(lost) == 3
+        assert lost[-1]["shard"] == -1 and lost[-1]["culprit"] == 3
         assert metrics.get("exec.worker_deaths").value == 3
         assert metrics.get("exec.quarantined").value == 1
         assert resil["worker_deaths"] == 3 and resil["quarantined"] == 1
